@@ -11,7 +11,8 @@ Usage sketch:
 Every record carries the run configuration, the metric counters, a logical
 memory figure, and (with --certify) certificate fields.  Output is CSV
 (default, fixed column order, rows streamed as they complete) or a JSON
-array.  Exit codes: 0 success, 2 bad input, 3 oracle refusal.
+array.  Exit codes: 0 success, 2 bad input (including a grid with any
+failed cell), 3 oracle refusal.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO, Union
 
@@ -166,7 +168,11 @@ def _cell(value) -> str:
 def load_instance(spec: RunSpec) -> Hypergraph:
     """Materialize and weight the instance a spec refers to."""
     if spec.input_path is not None:
-        hg = parse_hmetis(Path(spec.input_path).read_text())
+        try:
+            text = Path(spec.input_path).read_text()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"undecodable byte sequence: {exc}", 1) from None
+        hg = parse_hmetis(text)
     else:
         n, m, d_max, w_max = spec.gen
         hg = gen_random_hypergraph(n, m, d_max, w_max, spec.seed)
@@ -189,10 +195,30 @@ def logical_memory(algorithm: str, hg: Hypergraph, metrics: RunMetrics) -> int:
     raise InvalidInput(f"unknown algorithm {algorithm!r}")
 
 
+@dataclass
+class _LoadedInstance:
+    """A loaded instance, shared by every cell that runs on it."""
+
+    hg: Hypergraph
+
+    @cached_property
+    def oracle_weight(self) -> Optional[float]:
+        """The exact optimum, solved on first use; None when the oracle refuses."""
+        try:
+            return exact_max_weight_matching(self.hg).weight
+        except TooLarge:
+            return None
+
+
 def run(spec: RunSpec) -> ResultRecord:
     """Execute one benchmark cell and return its record."""
     spec.validate()
-    hg = load_instance(spec)
+    return _run_cell(spec, _LoadedInstance(load_instance(spec)))
+
+
+def _run_cell(spec: RunSpec, instance: _LoadedInstance) -> ResultRecord:
+    """Run one validated cell on an already loaded instance."""
+    hg = instance.hg
     record = ResultRecord(
         instance=spec.instance_label(),
         algorithm=spec.algorithm,
@@ -206,7 +232,8 @@ def run(spec: RunSpec) -> ResultRecord:
         total_pins=hg.total_pins,
     )
 
-    stream = order_stream(hg, spec.order, spec.seed)
+    # greedy sorts internally; the order axis does not affect it
+    stream = None if spec.algorithm == "greedy" else order_stream(hg, spec.order, spec.seed)
     dual = None
     if spec.algorithm in STACK_FAMILY:
         epsilon = spec.epsilon if spec.epsilon is not None else 0.0
@@ -224,7 +251,7 @@ def run(spec: RunSpec) -> ResultRecord:
         record.resolved_alpha = resolved
     elif spec.algorithm == "naive":
         matching, metrics = run_naive(hg, stream)
-    else:  # greedy sorts internally; the order axis does not affect it
+    else:
         matching, metrics = run_greedy(hg)
 
     record.matching_weight = metrics.matching_weight
@@ -242,10 +269,7 @@ def run(spec: RunSpec) -> ResultRecord:
         if dual is not None:
             record.dual_upper_bound = dual_upper_bound(dual)
             record.dual_feasible = dual_feasible(hg, dual)
-        try:
-            record.oracle_weight = exact_max_weight_matching(hg).weight
-        except TooLarge:
-            record.oracle_weight = None
+        record.oracle_weight = instance.oracle_weight
 
     if spec.emit_matching:
         record.matching_edges = " ".join(str(eid) for eid in sorted(matching.edge_ids))
@@ -253,12 +277,32 @@ def run(spec: RunSpec) -> ResultRecord:
 
 
 def grid(specs: Iterable[RunSpec]) -> Iterator[ResultRecord]:
-    """Run every cell, turning per-cell failures into error records."""
+    """Run every cell, turning per-cell input failures into error records.
+
+    Each instance is loaded once and shared, with its exact optimum, by the
+    cells that use it: a file is read once per weight scheme, a generated
+    instance once per seed and weight scheme.  The cache holds one source
+    at a time, since ``expand_grid`` iterates sources outermost.  A failed
+    load is not cached, so every cell of a bad source gets its own error.
+    """
+    source = None
+    loaded: dict[tuple, _LoadedInstance] = {}
     for spec in specs:
+        # --seed changes a generated instance but not a file's contents
+        if spec.input_path is not None:
+            key = (spec.input_path, spec.weights)
+        else:
+            key = (spec.gen, spec.seed, spec.weights)
+        if key[0] != source:
+            source = key[0]
+            loaded.clear()
         try:
-            yield run(spec)
-        except Exception as exc:  # noqa: BLE001 - a bad cell must not kill the grid
-            yield ResultRecord(
+            spec.validate()
+            if key not in loaded:
+                loaded[key] = _LoadedInstance(load_instance(spec))
+            record = _run_cell(spec, loaded[key])
+        except (ParseError, InvalidInput, OSError, TooLarge) as exc:
+            record = ResultRecord(
                 instance=spec.instance_label(),
                 algorithm=spec.algorithm,
                 weights=spec.weights.value,
@@ -269,6 +313,7 @@ def grid(specs: Iterable[RunSpec]) -> Iterator[ResultRecord]:
                 alpha=None if spec.alpha is None else str(spec.alpha),
                 error=f"{type(exc).__name__}: {exc}",
             )
+        yield record
 
 
 def expand_grid(
@@ -334,17 +379,25 @@ def oracle_record(
     )
 
 
-def emit(records: Iterable[ResultRecord], fmt: str, out: TextIO) -> None:
-    """Write records as CSV (streamed row by row) or a JSON array."""
+def emit(records: Iterable[ResultRecord], fmt: str, out: TextIO) -> int:
+    """Write records as CSV (streamed row by row) or a JSON array.
+
+    Returns the number of records whose ``error`` field is set.
+    """
+    errors = 0
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for record in records:
             writer.writerow(record.as_row())
             out.flush()
+            errors += record.error is not None
     else:
-        json.dump([r.as_dict() for r in records], out, indent=2)
+        rows = [r.as_dict() for r in records]
+        json.dump(rows, out, indent=2)
         out.write("\n")
+        errors = sum(row["error"] is not None for row in rows)
+    return errors
 
 
 def _parse_gen(text: str) -> tuple[int, int, int, int]:
@@ -476,7 +529,10 @@ def _command_grid(args, out: TextIO) -> int:
         certify=args.certify,
         emit_matching=args.emit_matching,
     )
-    emit(grid(specs), args.format, out)
+    failed = emit(grid(specs), args.format, out)
+    if failed:
+        _print_error("cell_errors", f"{failed} grid cell(s) failed; see the error column")
+        return 2
     return 0
 
 
@@ -521,7 +577,7 @@ def _dispatch(args, out: TextIO) -> int:
     return _command_oracle(args, out)
 
 
-def _print_error(kind: str, exc: Exception) -> None:
+def _print_error(kind: str, exc: Union[Exception, str]) -> None:
     json.dump({"error": kind, "message": str(exc)}, sys.stderr)
     sys.stderr.write("\n")
 

@@ -15,6 +15,7 @@ Lines may end in LF or CRLF.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from typing import IO, Iterable, Union
 
@@ -52,7 +53,8 @@ def parse_hmetis(source: Union[str, bytes, IO]) -> Hypergraph:
     Accepts a string, bytes, or a readable file object.  Comment lines
     ('%') and blank lines are skipped.  Raises ParseError (with the
     offending line number) on non-numeric tokens, vertex ids outside
-    ``1..n``, edge-count mismatches, empty edges, or non-positive weights.
+    ``1..n``, a vertex id repeated on one edge, edge-count mismatches,
+    empty edges, or weights that are not positive and finite.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -107,6 +109,8 @@ def parse_hmetis(source: Union[str, bytes, IO]) -> Hypergraph:
                 raise ParseError(f"non-numeric weight token {tokens[0]!r}", lineno) from None
             if not weight > 0:
                 raise ParseError(f"edge weight must be positive, got {tokens[0]}", lineno)
+            if not math.isfinite(weight):
+                raise ParseError(f"edge weight must be finite, got {tokens[0]}", lineno)
             vertex_tokens = tokens[1:]
         else:
             weight = 1.0
@@ -122,6 +126,9 @@ def parse_hmetis(source: Union[str, bytes, IO]) -> Hypergraph:
             if not 1 <= v <= n:
                 raise ParseError(f"vertex id {v} outside 1..{n}", lineno)
             vertices.append(v - 1)
+        if len(set(vertices)) != len(vertices):
+            repeated = next(v for i, v in enumerate(vertices) if v in vertices[:i])
+            raise ParseError(f"vertex id {repeated + 1} repeated on one edge", lineno)
         edge_data.append((tuple(vertices), weight))
 
     return Hypergraph.build(n, edge_data)

@@ -4,8 +4,11 @@ import csv
 import io
 import json
 
+import pytest
+
+from hypermatch import cli
 from hypermatch.cli import CSV_COLUMNS, main
-from hypermatch.ingest import gen_random_hypergraph
+from hypermatch.ingest import StreamOrder, WeightScheme, gen_random_hypergraph, serialize_hmetis
 from hypermatch.swap_matcher import optimal_alpha
 
 TWO_EDGE_FILE = "2 3 1\n1 1 2\n3 2 3\n"
@@ -182,13 +185,62 @@ def test_grid_records_cell_errors_and_continues(tmp_path, capsys) -> None:
          "--algorithm", "naive"],
         capsys,
     )
-    assert code == 0
+    assert code == 2
     rows = csv_rows(out)
     assert len(rows) == 2
     assert rows[0]["error"] != ""
     assert rows[0]["matching_weight"] == ""
     assert rows[1]["error"] == ""
     assert rows[1]["matching_weight"] != ""
+
+
+def test_grid_propagates_programming_errors(monkeypatch) -> None:
+    def broken(hg, stream):
+        raise RuntimeError("kernel bug")
+
+    monkeypatch.setattr(cli, "run_naive", broken)
+    specs = cli.expand_grid(
+        sources=[(None, (5, 6, 2, 10))], algorithms=["naive"], epsilons=[0.0],
+        alphas=["auto"], orders=[StreamOrder.ORIGINAL], seeds=[0], repeats=1,
+        weights=WeightScheme.FROM_FILE, certify=False, emit_matching=False,
+    )
+    with pytest.raises(RuntimeError, match="kernel bug"):
+        list(cli.grid(specs))
+
+
+def test_grid_loads_and_solves_each_instance_once(tmp_path, monkeypatch) -> None:
+    path = tmp_path / "small.hgr"
+    path.write_text(serialize_hmetis(gen_random_hypergraph(9, 12, 3, 100, seed=5)))
+    specs = list(cli.expand_grid(
+        sources=[(str(path), None), (None, (8, 10, 3, 50))],
+        algorithms=list(cli.ALGORITHMS), epsilons=[0.5], alphas=["auto"],
+        orders=[StreamOrder.ORIGINAL, StreamOrder.RANDOM], seeds=[1, 2], repeats=1,
+        weights=WeightScheme.FROM_FILE, certify=True, emit_matching=True,
+    ))
+    expected = [cli.run(spec).as_dict() for spec in specs]
+
+    calls = {"load": [], "oracle": 0}
+    load, solve = cli.load_instance, cli.exact_max_weight_matching
+
+    def counting_load(spec):
+        calls["load"].append(spec.input_path or (spec.gen, spec.seed))
+        return load(spec)
+
+    def counting_solve(hg, limits=None):
+        calls["oracle"] += 1
+        return solve(hg, limits)
+
+    monkeypatch.setattr(cli, "load_instance", counting_load)
+    monkeypatch.setattr(cli, "exact_max_weight_matching", counting_solve)
+    got = [record.as_dict() for record in cli.grid(specs)]
+
+    for record in expected + got:
+        assert record["error"] is None
+        assert record["oracle_weight"] is not None
+        record.pop("runtime_ns")
+    assert got == expected
+    assert calls["load"] == [str(path), ((8, 10, 3, 50), 1), ((8, 10, 3, 50), 2)]
+    assert calls["oracle"] == 3
 
 
 def test_oracle_subcommand(tmp_path, capsys) -> None:
@@ -216,6 +268,17 @@ def test_parse_error_exits_2(tmp_path, capsys) -> None:
     message = json.loads(err)
     assert message["error"] == "parse_error"
     assert "line 2" in message["message"]
+
+
+def test_undecodable_file_is_a_parse_error(tmp_path, capsys) -> None:
+    bad = tmp_path / "bad.hgr"
+    bad.write_bytes(b"1 2\n\xff\xfe 2\n")
+    code, _, err = run_cli(["run", "--input", str(bad), "--algorithm", "naive"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "parse_error"
+    code, out, _ = run_cli(["grid", "--input", str(bad), "--algorithm", "naive"], capsys)
+    assert code == 2
+    assert csv_rows(out)[0]["error"].startswith("ParseError")
 
 
 def test_missing_file_exits_2(capsys) -> None:

@@ -66,6 +66,9 @@ def test_parse_fmt0_explicit() -> None:
         ("1 2 3 4\n1 2\n", 1),  # four-token header
         ("1 3 2\n1 2\n", 1),  # unsupported fmt
         ("-1 3\n", 1),  # negative edge count
+        ("1 3 1\ninf 1 2\n", 2),  # infinite weight
+        ("1 3 1\n1e999 1 2\n", 2),  # weight overflows to infinity
+        ("2 3\n1 2\n1 1 2\n", 3),  # vertex id repeated on one edge
     ],
 )
 def test_parse_errors_carry_line_numbers(text: str, line: int) -> None:
