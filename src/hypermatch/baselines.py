@@ -10,9 +10,8 @@ and sorting the whole instance.
 from __future__ import annotations
 
 import time
-from typing import Optional
 
-from .core import Hypergraph, Matching, RunMetrics, check_stream
+from .core import Hypergraph, Matching, RunMetrics, check_stream, first_fit
 from .ingest import StreamOrder, order_stream
 
 
@@ -21,8 +20,9 @@ def run_naive(hg: Hypergraph, stream: list[int]) -> tuple[Matching, RunMetrics]:
     check_stream(hg, stream)
     metrics = RunMetrics()
     start = time.perf_counter_ns()
-    matching = _first_fit(hg, stream)
+    chosen = first_fit(hg, stream)
     metrics.runtime_ns = time.perf_counter_ns() - start
+    matching = Matching.from_edge_ids(hg, chosen)
     metrics.matching_weight = matching.weight
     metrics.cardinality = matching.cardinality
     return matching, metrics
@@ -37,20 +37,10 @@ def run_greedy(hg: Hypergraph) -> tuple[Matching, RunMetrics]:
     metrics = RunMetrics()
     start = time.perf_counter_ns()
     stream = order_stream(hg, StreamOrder.DESCENDING)
-    matching = _first_fit(hg, stream)
+    chosen = first_fit(hg, stream)
     metrics.runtime_ns = time.perf_counter_ns() - start
+    matching = Matching.from_edge_ids(hg, chosen)
     metrics.matching_weight = matching.weight
     metrics.cardinality = matching.cardinality
     return matching, metrics
 
-
-def _first_fit(hg: Hypergraph, stream: list[int]) -> Matching:
-    owner: list[Optional[int]] = [None] * hg.n
-    chosen: list[int] = []
-    for eid in stream:
-        edge = hg.edges[eid]
-        if all(owner[v] is None for v in edge.vertices):
-            for v in edge.vertices:
-                owner[v] = eid
-            chosen.append(eid)
-    return Matching.from_edge_ids(hg, chosen)

@@ -21,7 +21,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO, Union
@@ -48,38 +48,6 @@ from .oracle import OracleLimits, TooLarge, exact_max_weight_matching
 
 ALGORITHMS = ("stack", "stack-lenient", "swapset", "naive", "greedy")
 STACK_FAMILY = ("stack", "stack-lenient")
-
-CSV_COLUMNS = (
-    "instance",
-    "algorithm",
-    "weights",
-    "order",
-    "seed",
-    "repeat",
-    "epsilon",
-    "alpha",
-    "resolved_alpha",
-    "n",
-    "m",
-    "d",
-    "total_pins",
-    "matching_weight",
-    "cardinality",
-    "pushes",
-    "pops",
-    "swaps",
-    "vertex_push_max",
-    "peak_stack_edges",
-    "peak_stack_pins",
-    "logical_memory",
-    "runtime_ns",
-    "dual_upper_bound",
-    "dual_feasible",
-    "oracle_weight",
-    "matching_edges",
-    "error",
-)
-
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -150,11 +118,22 @@ class ResultRecord:
     matching_edges: Optional[str] = None
     error: Optional[str] = None
 
+    @classmethod
+    def for_spec(cls, spec: RunSpec, **values) -> "ResultRecord":
+        """A record labelled with the spec's configuration; ``values`` win."""
+        labels = dict(instance=spec.instance_label(), algorithm=spec.algorithm,
+                      weights=spec.weights.value, order=spec.order.value,
+                      seed=spec.seed, repeat=spec.repeat)
+        return cls(**{**labels, **values})
+
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
 
     def as_row(self) -> list[str]:
         return [_cell(getattr(self, name)) for name in CSV_COLUMNS]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))
 
 
 def _cell(value) -> str:
@@ -219,58 +198,34 @@ def run(spec: RunSpec) -> ResultRecord:
 def _run_cell(spec: RunSpec, instance: _LoadedInstance) -> ResultRecord:
     """Run one validated cell on an already loaded instance."""
     hg = instance.hg
-    record = ResultRecord(
-        instance=spec.instance_label(),
-        algorithm=spec.algorithm,
-        weights=spec.weights.value,
-        order=spec.order.value,
-        seed=spec.seed,
-        repeat=spec.repeat,
-        n=hg.n,
-        m=hg.m,
-        d=hg.d,
-        total_pins=hg.total_pins,
-    )
-
     # greedy sorts internally; the order axis does not affect it
     stream = None if spec.algorithm == "greedy" else order_stream(hg, spec.order, spec.seed)
     dual = None
+    knobs: dict = {}
     if spec.algorithm in STACK_FAMILY:
         epsilon = spec.epsilon if spec.epsilon is not None else 0.0
         rule = UpdateRule.GUARANTEE if spec.algorithm == "stack" else UpdateRule.LENIENT
         matching, dual, metrics = run_stack_stream(hg, stream, epsilon, rule)
-        record.epsilon = epsilon
+        knobs = {"epsilon": epsilon}
     elif spec.algorithm == "swapset":
-        if spec.alpha is None or spec.alpha == "auto":
-            resolved = optimal_alpha(max(hg.d, 1))
-            record.alpha = "auto"
-        else:
-            resolved = float(spec.alpha)
-            record.alpha = str(resolved)
+        auto = spec.alpha is None or spec.alpha == "auto"
+        resolved = optimal_alpha(max(hg.d, 1)) if auto else float(spec.alpha)
         matching, metrics = run_swapset(hg, stream, resolved)
-        record.resolved_alpha = resolved
+        knobs = {"alpha": "auto" if auto else str(resolved), "resolved_alpha": resolved}
     elif spec.algorithm == "naive":
         matching, metrics = run_naive(hg, stream)
     else:
         matching, metrics = run_greedy(hg)
 
-    record.matching_weight = metrics.matching_weight
-    record.cardinality = metrics.cardinality
-    record.pushes = metrics.pushes
-    record.pops = metrics.pops
-    record.swaps = metrics.swaps
-    record.vertex_push_max = metrics.vertex_push_max
-    record.peak_stack_edges = metrics.peak_stack_edges
-    record.peak_stack_pins = metrics.peak_stack_pins
-    record.logical_memory = logical_memory(spec.algorithm, hg, metrics)
-    record.runtime_ns = metrics.runtime_ns
-
+    record = ResultRecord.for_spec(
+        spec, n=hg.n, m=hg.m, d=hg.d, total_pins=hg.total_pins,
+        logical_memory=logical_memory(spec.algorithm, hg, metrics), **knobs, **vars(metrics),
+    )
     if spec.certify:
         if dual is not None:
             record.dual_upper_bound = dual_upper_bound(dual)
             record.dual_feasible = dual_feasible(hg, dual)
         record.oracle_weight = instance.oracle_weight
-
     if spec.emit_matching:
         record.matching_edges = " ".join(str(eid) for eid in sorted(matching.edge_ids))
     return record
@@ -302,13 +257,8 @@ def grid(specs: Iterable[RunSpec]) -> Iterator[ResultRecord]:
                 loaded[key] = _LoadedInstance(load_instance(spec))
             record = _run_cell(spec, loaded[key])
         except (ParseError, InvalidInput, OSError, TooLarge) as exc:
-            record = ResultRecord(
-                instance=spec.instance_label(),
-                algorithm=spec.algorithm,
-                weights=spec.weights.value,
-                order=spec.order.value,
-                seed=spec.seed,
-                repeat=spec.repeat,
+            record = ResultRecord.for_spec(
+                spec,
                 epsilon=spec.epsilon,
                 alpha=None if spec.alpha is None else str(spec.alpha),
                 error=f"{type(exc).__name__}: {exc}",
@@ -361,13 +311,9 @@ def oracle_record(
     """Solve an instance exactly and wrap the result in the record schema."""
     hg = load_instance(spec)
     matching = exact_max_weight_matching(hg, limits)
-    return ResultRecord(
-        instance=spec.instance_label(),
+    return ResultRecord.for_spec(
+        spec,
         algorithm="oracle",
-        weights=spec.weights.value,
-        order=spec.order.value,
-        seed=spec.seed,
-        repeat=0,
         n=hg.n,
         m=hg.m,
         d=hg.d,
@@ -482,24 +428,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _single_source(args) -> tuple[Optional[str], Optional[tuple[int, int, int, int]]]:
+def _single_spec(args, **knobs) -> RunSpec:
+    """The spec of a single-source subcommand (``run`` or ``oracle``)."""
     if (args.input is None) == (args.gen is None):
         raise InvalidInput("exactly one of --input and --gen is required")
-    gen = _parse_gen(args.gen) if args.gen is not None else None
-    return args.input, gen
+    return RunSpec(
+        input_path=args.input,
+        gen=_parse_gen(args.gen) if args.gen is not None else None,
+        weights=WeightScheme(args.weights),
+        seed=args.seed if args.seed is not None else 0,
+        **knobs,
+    )
 
 
 def _command_run(args, out: TextIO) -> int:
-    input_path, gen = _single_source(args)
-    spec = RunSpec(
-        input_path=input_path,
-        gen=gen,
-        weights=WeightScheme(args.weights),
+    spec = _single_spec(
+        args,
         algorithm=args.algorithm,
         epsilon=args.epsilon,
         alpha=args.alpha,
         order=StreamOrder(args.order),
-        seed=args.seed if args.seed is not None else 0,
         certify=args.certify,
         emit_matching=args.emit_matching,
     )
@@ -537,16 +485,8 @@ def _command_grid(args, out: TextIO) -> int:
 
 
 def _command_oracle(args, out: TextIO) -> int:
-    input_path, gen = _single_source(args)
-    spec = RunSpec(
-        input_path=input_path,
-        gen=gen,
-        weights=WeightScheme(args.weights),
-        algorithm="naive",  # placeholder; the oracle ignores it
-        seed=args.seed if args.seed is not None else 0,
-    )
     limits = OracleLimits(max_edges=args.max_edges)
-    emit([oracle_record(spec, limits)], args.format, out)
+    emit([oracle_record(_single_spec(args), limits)], args.format, out)
     return 0
 
 

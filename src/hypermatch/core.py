@@ -6,6 +6,11 @@ that position doubles as the canonical tie-breaker everywhere ordering
 matters.  Weights are positive 64-bit floats; unit weights are the value
 ``1.0``.  A matching is a set of pairwise vertex-disjoint edge ids together
 with its per-vertex ownership map and a cached total weight.
+
+Float totals throughout the package are explicit left-to-right loops, not
+``sum()``: from Python 3.12 on, ``sum`` of floats is compensated, so
+``sum([1e16, 1.0, 1.0])`` would differ between interpreter versions and so
+would the records.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ class Hypergraph:
     ``edges[i].id == i`` is enforced: the id of an edge is its position in
     the input stream.  ``d`` is the maximum edge size (0 when there are no
     edges) and ``total_pins`` the total number of vertex slots across all
-    edges.
+    edges.  The total edge weight must be finite, so no matching weight
+    can overflow.
     """
 
     n: int
@@ -71,6 +77,7 @@ class Hypergraph:
             raise InvalidInput(f"vertex count must be non-negative, got {self.n}")
         edges = tuple(self.edges)
         object.__setattr__(self, "edges", edges)
+        total_weight = 0.0
         for pos, edge in enumerate(edges):
             if edge.id != pos:
                 raise InvalidInput(
@@ -81,6 +88,9 @@ class Hypergraph:
                     f"edge {edge.id} references vertex {edge.vertices[-1]} "
                     f"but only {self.n} vertices exist"
                 )
+            total_weight += edge.weight
+        if not math.isfinite(total_weight):
+            raise InvalidInput("the total edge weight overflows a 64-bit float")
         object.__setattr__(self, "d", max((e.size for e in edges), default=0))
         object.__setattr__(self, "total_pins", sum(e.size for e in edges))
 
@@ -143,6 +153,24 @@ class Matching:
                 owner[v] = eid
             total += edge.weight
         return cls(frozenset(ids), tuple(owner), total)
+
+
+def first_fit(hg: Hypergraph, stream: Iterable[int]) -> list[int]:
+    """Ids of the streamed edges whose vertices are all still free on arrival.
+
+    The one first-fit rule of the package: the naive matcher applies it to
+    its stream, greedy to the descending-weight order, and the stack matcher
+    to its stack, last in first out.  The chosen ids come in stream order.
+    """
+    free = [True] * hg.n
+    chosen: list[int] = []
+    for eid in stream:
+        vertices = hg.edges[eid].vertices
+        if all(free[v] for v in vertices):
+            for v in vertices:
+                free[v] = False
+            chosen.append(eid)
+    return chosen
 
 
 def check_stream(hg: Hypergraph, stream: Iterable[int]) -> None:

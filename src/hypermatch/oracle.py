@@ -6,7 +6,9 @@ the heavier include-branch explored first, so a strong incumbent appears
 early; a subtree is pruned when the weight collected so far plus the total
 weight remaining below it cannot beat the incumbent.  Among equal-weight
 optima the solver returns the one whose sorted edge-id tuple is
-lexicographically smallest, which keeps results reproducible.
+lexicographically smallest, which keeps results reproducible.  Sums are
+compared exactly, on weights scaled to integers, so float rounding in the
+summation order cannot split a tie.
 
 A separate brute-force enumerator walks all 2^m edge subsets with the same
 tie-break.  It exists to check the branch-and-bound, not to be fast.
@@ -55,18 +57,19 @@ def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None
 
     order = sorted(range(hg.m), key=lambda i: (-hg.edges[i].weight, i))
     vertex_masks = [_vertex_mask(hg, eid) for eid in order]
-    weights = [hg.edges[eid].weight for eid in order]
+    exact = _exact_weights(hg)
+    weights = [exact[eid] for eid in order]
     # suffix[i] = total weight of order[i:], the best any subtree below i can add
-    suffix = [0.0] * (len(order) + 1)
+    suffix = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
 
-    best_weight = 0.0
+    best_weight = 0
     best_ids: tuple[int, ...] = ()
     expanded = 0
     chosen: list[int] = []
 
-    def visit(i: int, used: int, current: float) -> None:
+    def visit(i: int, used: int, current: int) -> None:
         nonlocal best_weight, best_ids, expanded
         expanded += 1
         if expanded > limits.max_nodes_expanded:
@@ -88,7 +91,7 @@ def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None
             chosen.pop()
         visit(i + 1, used, current)
 
-    visit(0, 0, 0.0)
+    visit(0, 0, 0)
     return Matching.from_edge_ids(hg, best_ids)
 
 
@@ -101,12 +104,13 @@ def exhaustive_max_weight_matching(hg: Hypergraph, max_edges: int = 20) -> Match
     if hg.m > max_edges:
         raise TooLarge(f"{hg.m} edges exceeds the enumeration cap of {max_edges}")
     masks = [_vertex_mask(hg, eid) for eid in range(hg.m)]
+    exact = _exact_weights(hg)
 
-    best_weight = 0.0
+    best_weight = 0
     best_ids: tuple[int, ...] = ()
     for subset in range(1 << hg.m):
         used = 0
-        weight = 0.0
+        weight = 0
         ok = True
         for eid in range(hg.m):
             if not subset >> eid & 1:
@@ -115,7 +119,7 @@ def exhaustive_max_weight_matching(hg: Hypergraph, max_edges: int = 20) -> Match
                 ok = False
                 break
             used |= masks[eid]
-            weight += hg.edges[eid].weight
+            weight += exact[eid]
         if not ok:
             continue
         ids = tuple(eid for eid in range(hg.m) if subset >> eid & 1)
@@ -133,6 +137,13 @@ def is_maximal(hg: Hypergraph, matching: Matching) -> bool:
         if all(matching.owner[v] is None for v in edge.vertices):
             return False
     return True
+
+
+def _exact_weights(hg: Hypergraph) -> list[int]:
+    """Edge weights times one power of two that makes them all integers."""
+    ratios = [edge.weight.as_integer_ratio() for edge in hg.edges]
+    scale = max((den for _, den in ratios), default=1)
+    return [num * (scale // den) for num, den in ratios]
 
 
 def _vertex_mask(hg: Hypergraph, eid: int) -> int:

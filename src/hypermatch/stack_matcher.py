@@ -5,7 +5,7 @@ admitted when its weight is at least ``(1 + epsilon)`` times the current
 potential sum over its vertices; admitted edges are pushed on a stack and
 raise the potentials of their vertices.  After the stream ends the stack is
 unwound last-in-first-out, taking each popped edge whose vertices are all
-still free.
+still free: first-fit over the reversed stack.
 
 Two update rules are supported.  GUARANTEE adds the full surplus
 ``W(e) - sum`` to every endpoint, which makes the scaled potentials a
@@ -22,7 +22,9 @@ import enum
 import time
 from dataclasses import dataclass
 
-from .core import Hyperedge, Hypergraph, InvalidInput, Matching, RunMetrics, check_stream
+from .core import (
+    Hyperedge, Hypergraph, InvalidInput, Matching, RunMetrics, check_stream, first_fit,
+)
 
 
 class UpdateRule(enum.Enum):
@@ -42,32 +44,6 @@ class DualState:
         if epsilon < 0:
             raise InvalidInput(f"epsilon must be non-negative, got {epsilon}")
         return cls([0.0] * n, epsilon)
-
-
-class CandidateStack:
-    """LIFO of admitted edges with high-water marks for edges and pins."""
-
-    def __init__(self) -> None:
-        self._entries: list[Hyperedge] = []
-        self._pins = 0
-        self.peak_edges = 0
-        self.peak_pins = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def push(self, edge: Hyperedge) -> None:
-        self._entries.append(edge)
-        self._pins += edge.size
-        if len(self._entries) > self.peak_edges:
-            self.peak_edges = len(self._entries)
-        if self._pins > self.peak_pins:
-            self.peak_pins = self._pins
-
-    def pop(self) -> Hyperedge:
-        edge = self._entries.pop()
-        self._pins -= edge.size
-        return edge
 
 
 def edge_dual_sum(dual: DualState, edge: Hyperedge) -> float:
@@ -116,7 +92,8 @@ def run_stack_stream(
     """
     check_stream(hg, stream)
     dual = DualState.zeros(hg.n, epsilon)
-    stack = CandidateStack()
+    stack: list[int] = []
+    stack_pins = 0
     pushes_per_vertex = [0] * hg.n
     metrics = RunMetrics()
 
@@ -125,28 +102,21 @@ def run_stack_stream(
         edge = hg.edges[eid]
         if not admit(dual, edge):
             continue
-        stack.push(edge)
+        stack.append(eid)
+        stack_pins += edge.size
         apply_update(dual, edge, rule)
-        metrics.pushes += 1
         for v in edge.vertices:
             pushes_per_vertex[v] += 1
-
-    owner: list[int | None] = [None] * hg.n
-    chosen: list[int] = []
-    while len(stack):
-        edge = stack.pop()
-        metrics.pops += 1
-        if all(owner[v] is None for v in edge.vertices):
-            for v in edge.vertices:
-                owner[v] = edge.id
-            chosen.append(edge.id)
+    chosen = first_fit(hg, reversed(stack))
     metrics.runtime_ns = time.perf_counter_ns() - start
 
     matching = Matching.from_edge_ids(hg, chosen)
     metrics.matching_weight = matching.weight
     metrics.cardinality = matching.cardinality
-    metrics.peak_stack_edges = stack.peak_edges
-    metrics.peak_stack_pins = stack.peak_pins
+    # The stream phase only pushes and the unwind pops every entry, so the
+    # stack peaks at its final edge and pin counts, and pushes == pops.
+    metrics.pushes = metrics.pops = metrics.peak_stack_edges = len(stack)
+    metrics.peak_stack_pins = stack_pins
     metrics.vertex_push_max = max(pushes_per_vertex, default=0)
     return matching, dual, metrics
 
@@ -169,7 +139,9 @@ def dual_upper_bound(dual: DualState) -> float:
     """``(1 + epsilon)`` times the total potential.
 
     When :func:`dual_feasible` holds, no matching of the instance weighs
-    more than this value.
+    more than this value.  The potentials can add up past the largest
+    float even when the edge weights do not; the bound is then ``inf``,
+    vacuous but still valid.
     """
     total = 0.0
     for p in dual.potentials:

@@ -87,13 +87,15 @@ def run_swapset(
     metrics = RunMetrics()
 
     start = time.perf_counter_ns()
+    fired = 0
     for eid in stream:
-        edge = hg.edges[eid]
-        conflicts = conflict_set(state, edge)
-        if try_swap(state, edge):
-            metrics.swaps += len(conflicts)
+        fired += try_swap(state, hg.edges[eid])
     matched = state.matched_ids()
     metrics.runtime_ns = time.perf_counter_ns() - start
+
+    # Every fired swap adds one edge and evicts its conflicts, so the edges
+    # evicted are the swaps fired less the edges still matched.
+    metrics.swaps = fired - len(matched)
 
     matching = Matching.from_edge_ids(hg, matched)
     metrics.matching_weight = matching.weight

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +282,17 @@ def test_undecodable_file_is_a_parse_error(tmp_path, capsys) -> None:
     assert csv_rows(out)[0]["error"].startswith("ParseError")
 
 
+def test_overflowing_weights_exit_2(tmp_path, capsys) -> None:
+    path = tmp_path / "huge.hgr"
+    path.write_text("2 4 1\n1.7e308 1 2\n1.7e308 3 4\n")
+    code, _, err = run_cli(["run", "--input", str(path), "--algorithm", "stack"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "invalid_input"
+    code, out, _ = run_cli(["grid", "--input", str(path), "--algorithm", "naive"], capsys)
+    assert code == 2
+    assert csv_rows(out)[0]["error"].startswith("InvalidInput")
+
+
 def test_missing_file_exits_2(capsys) -> None:
     code, _, err = run_cli(["run", "--input", "/no/such/file.hgr",
                             "--algorithm", "naive"], capsys)
@@ -342,3 +354,10 @@ def test_alpha_zero_is_accepted_by_cli(capsys) -> None:
     assert code == 0
     record = json.loads(out)[0]
     assert record["resolved_alpha"] == 0.0
+
+
+def test_readme_record_schema_lists_csv_columns() -> None:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Record schema", 1)[1]
+    block = section.split("```", 2)[1]
+    assert tuple(block.split()) == CSV_COLUMNS

@@ -37,6 +37,11 @@ def test_exact_tie_break_prefers_lexicographically_smallest_ids() -> None:
     assert sorted(matching.edge_ids) == [0, 3]
     brute = exhaustive_max_weight_matching(hg)
     assert sorted(brute.edge_ids) == [0, 3]
+    # two optima of weight 1.1: {2, 3} and {0, 1, 2}; as floats their sums
+    # depend on the summation order, so only an exact comparison ties them
+    hg = Hypergraph.build(3, [((2,), 0.2), ((1,), 0.2), ((0,), 0.7), ((1, 2), 0.4)])
+    assert sorted(exact_max_weight_matching(hg).edge_ids) == [0, 1, 2]
+    assert sorted(exhaustive_max_weight_matching(hg).edge_ids) == [0, 1, 2]
 
 
 def test_exact_empty_instance() -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -8,7 +9,6 @@ from hypermatch.core import Hypergraph, InvalidInput, validate_matching
 from hypermatch.ingest import StreamOrder, order_stream
 from hypermatch.oracle import exact_max_weight_matching
 from hypermatch.stack_matcher import (
-    CandidateStack,
     DualState,
     UpdateRule,
     admit,
@@ -150,17 +150,13 @@ def test_dual_upper_bound_scales_with_epsilon() -> None:
     assert dual_upper_bound(dual) == 12.0
 
 
-def test_candidate_stack_tracks_peaks() -> None:
-    hg = Hypergraph.build(5, [((0, 1, 2), 1.0), ((3, 4), 1.0)])
-    stack = CandidateStack()
-    stack.push(hg.edges[0])
-    stack.push(hg.edges[1])
-    assert len(stack) == 2
-    assert stack.pop() is hg.edges[1]
-    assert stack.pop() is hg.edges[0]
-    assert len(stack) == 0
-    assert stack.peak_edges == 2
-    assert stack.peak_pins == 5
+def test_dual_bound_overflow_is_vacuous_but_valid() -> None:
+    # one edge of weight 1.7e308 puts 1.7e308 on both its vertices
+    hg = Hypergraph.build(2, [((0, 1), 1.7e308)])
+    matching, dual, _ = run_stack_stream(hg, [0], 0.0, UpdateRule.GUARANTEE)
+    assert matching.weight == 1.7e308
+    assert dual_upper_bound(dual) == math.inf
+    assert dual_feasible(hg, dual)
 
 
 def test_stream_phase_only_grows_the_stack() -> None:

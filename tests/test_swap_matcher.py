@@ -129,6 +129,22 @@ def test_state_stays_consistent_after_every_step() -> None:
             Matching.from_edge_ids(hg, live)  # raises if not disjoint
 
 
+def test_swaps_count_the_conflicts_of_fired_swaps() -> None:
+    # step the swap rule by hand and sum the conflict sets of the swaps that fire
+    for hg in random_instances(80, meta_seed=305):
+        for alpha in (0.0, 0.3, 1.0):
+            for order in StreamOrder:
+                stream = order_stream(hg, order, seed=37)
+                state = SwapState.empty(hg, alpha)
+                evicted = 0
+                for eid in stream:
+                    conflicts = conflict_set(state, hg.edges[eid])
+                    if try_swap(state, hg.edges[eid]):
+                        evicted += len(conflicts)
+                _, metrics = run_swapset(hg, stream, alpha)
+                assert metrics.swaps == evicted
+
+
 def test_outputs_are_valid_matchings() -> None:
     for hg in random_instances(100, meta_seed=302):
         for alpha in (0.0, 0.1, 1.0):
