@@ -147,11 +147,7 @@ def _cell(value) -> str:
 def load_instance(spec: RunSpec) -> Hypergraph:
     """Materialize and weight the instance a spec refers to."""
     if spec.input_path is not None:
-        try:
-            text = Path(spec.input_path).read_text()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"undecodable byte sequence: {exc}", 1) from None
-        hg = parse_hmetis(text)
+        hg = parse_hmetis(Path(spec.input_path).read_bytes())
     else:
         n, m, d_max, w_max = spec.gen
         hg = gen_random_hypergraph(n, m, d_max, w_max, spec.seed)

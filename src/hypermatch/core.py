@@ -1,10 +1,13 @@
 """Shared domain types for weighted hypergraph matching.
 
-A hypergraph is a vertex count ``n`` plus an ordered tuple of hyperedges.
-Edge ids are ordinals: edge ``i`` is the ``i``-th edge of the input, and
-that position doubles as the canonical tie-breaker everywhere ordering
-matters.  Weights are positive 64-bit floats; unit weights are the value
-``1.0``.  A matching is a set of pairwise vertex-disjoint edge ids together
+A hypergraph is a vertex count ``n`` plus two per-edge arrays: edge ``i``
+covers the strictly ascending vertex tuple ``vertices[i]`` and weighs
+``weights[i]``.  Edge ids are ordinals: edge ``i`` is the ``i``-th edge of
+the input, and that position doubles as the canonical tie-breaker
+everywhere ordering matters.  Every algorithm indexes the two arrays by
+edge id; :class:`Hyperedge` objects exist only as a derived view
+(``Hypergraph.edges``).  Weights are positive 64-bit floats; unit weights
+are the value ``1.0``.  A matching is a set of pairwise vertex-disjoint edge ids together
 with its per-vertex ownership map and a cached total weight.
 
 Float totals throughout the package are explicit left-to-right loops, not
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 
@@ -58,60 +62,97 @@ class Hyperedge:
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """An edge-weighted hypergraph over vertices ``0..n-1``.
+    """An edge-weighted hypergraph over vertices ``0..n-1``, stored per edge.
 
-    ``edges[i].id == i`` is enforced: the id of an edge is its position in
-    the input stream.  ``d`` is the maximum edge size (0 when there are no
-    edges) and ``total_pins`` the total number of vertex slots across all
-    edges.  The total edge weight must be finite, so no matching weight
-    can overflow.
+    Edge ``i`` covers ``vertices[i]``, a strictly ascending tuple of vertex
+    ids, and weighs ``weights[i]``, a positive finite float; the id of an
+    edge is its position in the input stream.  ``d`` is the maximum edge
+    size (0 when there are no edges) and ``total_pins`` the total number of
+    vertex slots across all edges.  The total edge weight must be finite,
+    so no matching weight can overflow.  The constructor validates both
+    arrays once; :meth:`build` accepts unsorted vertex lists.
     """
 
     n: int
-    edges: tuple[Hyperedge, ...]
+    vertices: tuple[tuple[int, ...], ...]
+    weights: tuple[float, ...]
     d: int = field(init=False)
     total_pins: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise InvalidInput(f"vertex count must be non-negative, got {self.n}")
-        edges = tuple(self.edges)
-        object.__setattr__(self, "edges", edges)
+        n = self.n
+        if n < 0:
+            raise InvalidInput(f"vertex count must be non-negative, got {n}")
+        vertices = tuple(map(tuple, self.vertices))
+        weights = tuple(map(float, self.weights))
+        if len(vertices) != len(weights):
+            raise InvalidInput(
+                f"{len(vertices)} vertex tuples but {len(weights)} weights"
+            )
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "weights", weights)
         total_weight = 0.0
-        for pos, edge in enumerate(edges):
-            if edge.id != pos:
+        d = total_pins = 0
+        for eid, verts in enumerate(vertices):
+            if not verts:
+                raise InvalidInput(f"edge {eid} has no vertices")
+            prev = -1
+            for v in verts:
+                if v <= prev:
+                    raise InvalidInput(
+                        f"edge {eid} has vertices {verts}; they must be distinct, "
+                        "ascending and non-negative"
+                    )
+                prev = v
+            if prev >= n:
                 raise InvalidInput(
-                    f"edge at position {pos} carries id {edge.id}; ids must equal positions"
+                    f"edge {eid} references vertex {prev} but only {n} vertices exist"
                 )
-            if edge.vertices[-1] >= self.n:
-                raise InvalidInput(
-                    f"edge {edge.id} references vertex {edge.vertices[-1]} "
-                    f"but only {self.n} vertices exist"
-                )
-            total_weight += edge.weight
+            w = weights[eid]
+            if not 0.0 < w < math.inf:
+                raise InvalidInput(f"edge {eid} needs a positive finite weight, got {w}")
+            total_weight += w
+            size = len(verts)
+            total_pins += size
+            if size > d:
+                d = size
         if not math.isfinite(total_weight):
             raise InvalidInput("the total edge weight overflows a 64-bit float")
-        object.__setattr__(self, "d", max((e.size for e in edges), default=0))
-        object.__setattr__(self, "total_pins", sum(e.size for e in edges))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "total_pins", total_pins)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.weights)
+
+    @cached_property
+    def edges(self) -> tuple[Hyperedge, ...]:
+        """The edges as :class:`Hyperedge` objects, built on first access.
+
+        A read-only view for callers that want one object per edge; the
+        package itself indexes ``vertices`` and ``weights``.
+        """
+        return tuple(
+            Hyperedge(eid, verts, w)
+            for eid, (verts, w) in enumerate(zip(self.vertices, self.weights))
+        )
 
     @classmethod
     def build(cls, n: int, edge_data: Iterable[tuple[Iterable[int], float]]) -> "Hypergraph":
-        """Construct from ``(vertices, weight)`` pairs, assigning ordinal ids."""
-        edges = tuple(
-            Hyperedge(i, tuple(verts), w) for i, (verts, w) in enumerate(edge_data)
-        )
-        return cls(n, edges)
+        """Construct from ``(vertices, weight)`` pairs, assigning ordinal ids.
+
+        Each vertex list is deduplicated and sorted ascending.
+        """
+        vertices = []
+        weights = []
+        for verts, w in edge_data:
+            vertices.append(tuple(sorted(set(verts))))
+            weights.append(w)
+        return cls(n, vertices, weights)
 
     def with_weights(self, weights: Iterable[float]) -> "Hypergraph":
         """A copy of this hypergraph with the given per-edge weights."""
-        ws = list(weights)
-        if len(ws) != self.m:
-            raise InvalidInput(f"expected {self.m} weights, got {len(ws)}")
-        return Hypergraph.build(self.n, ((e.vertices, w) for e, w in zip(self.edges, ws)))
+        return Hypergraph(self.n, self.vertices, tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -144,14 +185,13 @@ class Matching:
         for eid in ids:
             if not 0 <= eid < hg.m:
                 raise InvalidInput(f"unknown edge id {eid}")
-            edge = hg.edges[eid]
-            for v in edge.vertices:
+            for v in hg.vertices[eid]:
                 if owner[v] is not None:
                     raise InvalidInput(
                         f"edges {owner[v]} and {eid} both cover vertex {v}"
                     )
                 owner[v] = eid
-            total += edge.weight
+            total += hg.weights[eid]
         return cls(frozenset(ids), tuple(owner), total)
 
 
@@ -163,11 +203,15 @@ def first_fit(hg: Hypergraph, stream: Iterable[int]) -> list[int]:
     to its stack, last in first out.  The chosen ids come in stream order.
     """
     free = [True] * hg.n
+    vertices = hg.vertices
     chosen: list[int] = []
     for eid in stream:
-        vertices = hg.edges[eid].vertices
-        if all(free[v] for v in vertices):
-            for v in vertices:
+        verts = vertices[eid]
+        for v in verts:
+            if not free[v]:
+                break
+        else:
+            for v in verts:
                 free[v] = False
             chosen.append(eid)
     return chosen
@@ -195,7 +239,7 @@ def matching_weight(hg: Hypergraph, edge_ids: Iterable[int]) -> float:
     for eid in sorted(set(edge_ids)):
         if not 0 <= eid < hg.m:
             raise InvalidInput(f"unknown edge id {eid}")
-        total += hg.edges[eid].weight
+        total += hg.weights[eid]
     return total
 
 
@@ -214,13 +258,13 @@ def validate_matching(hg: Hypergraph, matching: Matching) -> bool:
         return False
     counts = [0] * hg.n
     for eid in matching.edge_ids:
-        for v in hg.edges[eid].vertices:
+        for v in hg.vertices[eid]:
             counts[v] += 1
     if any(c > 1 for c in counts):
         return False
     expected: list[Optional[int]] = [None] * hg.n
     for eid in matching.edge_ids:
-        for v in hg.edges[eid].vertices:
+        for v in hg.vertices[eid]:
             expected[v] = eid
     if tuple(expected) != matching.owner:
         return False

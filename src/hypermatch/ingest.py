@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import random
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 from .core import Hypergraph, InvalidInput
 
@@ -50,11 +51,13 @@ class StreamOrder(enum.Enum):
 def parse_hmetis(source: Union[str, bytes, IO]) -> Hypergraph:
     """Parse hMetis-style text into a Hypergraph.
 
-    Accepts a string, bytes, or a readable file object.  Comment lines
-    ('%') and blank lines are skipped.  Raises ParseError (with the
-    offending line number) on non-numeric tokens, vertex ids outside
-    ``1..n``, a vertex id repeated on one edge, edge-count mismatches,
-    empty edges, or weights that are not positive and finite.
+    Accepts a string, bytes (decoded as UTF-8), or a readable file object.
+    Comment lines ('%') and blank lines are skipped.  Raises ParseError
+    (with the offending line number) on undecodable bytes, non-numeric
+    tokens, vertex ids outside ``1..n``, a vertex id repeated on one edge,
+    edge-count mismatches, empty edges, or weights that are not positive
+    and finite.  An edge-count mismatch is reported before any error on an
+    edge line.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -66,18 +69,15 @@ def parse_hmetis(source: Union[str, bytes, IO]) -> Hypergraph:
     else:
         text = source
 
-    # (line number, token list) for every line that carries data
-    entries: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        entries.append((lineno, stripped.split()))
-
-    if not entries:
+    # (line number, tokens) of every line that carries data, lazily
+    lines = (
+        (lineno, tokens)
+        for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1)
+        if tokens and tokens[0][0] != "%"
+    )
+    header_line, header = next(lines, (1, None))
+    if header is None:
         raise ParseError("missing header line", 1)
-
-    header_line, header = entries[0]
     if len(header) not in (2, 3):
         raise ParseError(
             f"header must be 'm n' or 'm n fmt', got {len(header)} tokens", header_line
@@ -93,45 +93,81 @@ def parse_hmetis(source: Union[str, bytes, IO]) -> Hypergraph:
     if fmt not in (0, 1):
         raise ParseError(f"unsupported fmt {fmt} (only 0 and 1 are handled)", header_line)
 
-    edge_lines = entries[1:]
-    if len(edge_lines) != m:
-        lineno = edge_lines[m][0] if len(edge_lines) > m else entries[-1][0]
-        raise ParseError(
-            f"header declares {m} edges but {len(edge_lines)} edge lines found", lineno
-        )
-
-    edge_data: list[tuple[tuple[int, ...], float]] = []
-    for lineno, tokens in edge_lines:
+    vertices: list[tuple[int, ...]] = []
+    weights: list[float] = []
+    shift = (-1).__add__  # 1-based file ids to 0-based
+    found = 0  # edge lines seen
+    extra_line = None  # the first edge line past the m declared
+    problem = None  # (message, line) of the first bad edge line
+    lineno = header_line
+    for lineno, tokens in lines:
+        found += 1
+        if found > m:
+            if extra_line is None:
+                extra_line = lineno
+            continue
+        if problem is not None:
+            continue  # keep counting: a count mismatch is reported first
         if fmt == 1:
             try:
                 weight = float(tokens[0])
             except ValueError:
-                raise ParseError(f"non-numeric weight token {tokens[0]!r}", lineno) from None
-            if not weight > 0:
-                raise ParseError(f"edge weight must be positive, got {tokens[0]}", lineno)
-            if not math.isfinite(weight):
-                raise ParseError(f"edge weight must be finite, got {tokens[0]}", lineno)
+                weight = math.nan
+            if not 0.0 < weight < math.inf:
+                problem = (_weight_problem(tokens[0]), lineno)
+                continue
             vertex_tokens = tokens[1:]
         else:
             weight = 1.0
             vertex_tokens = tokens
-        if not vertex_tokens:
-            raise ParseError("edge has no vertices", lineno)
-        vertices = []
-        for tok in vertex_tokens:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(f"non-numeric vertex token {tok!r}", lineno) from None
-            if not 1 <= v <= n:
-                raise ParseError(f"vertex id {v} outside 1..{n}", lineno)
-            vertices.append(v - 1)
-        if len(set(vertices)) != len(vertices):
-            repeated = next(v for i, v in enumerate(vertices) if v in vertices[:i])
-            raise ParseError(f"vertex id {repeated + 1} repeated on one edge", lineno)
-        edge_data.append((tuple(vertices), weight))
+        try:
+            ids = sorted(map(int, vertex_tokens))
+        except ValueError:
+            ids = []
+        # sorted, so a repeat sits next to its twin
+        if not ids or ids[0] < 1 or ids[-1] > n or any(map(operator.eq, ids, ids[1:])):
+            problem = (_vertex_problem(vertex_tokens, n), lineno)
+            continue
+        vertices.append(tuple(map(shift, ids)))
+        weights.append(weight)
+    if found != m:
+        raise ParseError(
+            f"header declares {m} edges but {found} edge lines found",
+            extra_line if found > m else lineno,
+        )
+    if problem is not None:
+        raise ParseError(*problem)
+    return Hypergraph(n, vertices, weights)
 
-    return Hypergraph.build(n, edge_data)
+
+def _weight_problem(token: str) -> str:
+    """Why ``token`` is not a positive finite weight."""
+    try:
+        weight = float(token)
+    except ValueError:
+        return f"non-numeric weight token {token!r}"
+    if not weight > 0:
+        return f"edge weight must be positive, got {token}"
+    return f"edge weight must be finite, got {token}"
+
+
+def _vertex_problem(tokens: list[str], n: int) -> str:
+    """The first fault of an edge's vertex tokens, in line order."""
+    if not tokens:
+        return "edge has no vertices"
+    seen = set()
+    repeated = None
+    for tok in tokens:
+        try:
+            v = int(tok)
+        except ValueError:
+            return f"non-numeric vertex token {tok!r}"
+        if not 1 <= v <= n:
+            return f"vertex id {v} outside 1..{n}"
+        if v in seen and repeated is None:
+            repeated = v
+        seen.add(v)
+    return f"vertex id {repeated} repeated on one edge"
 
 
 def serialize_hmetis(hg: Hypergraph, include_weights: bool | None = None) -> str:
@@ -142,14 +178,14 @@ def serialize_hmetis(hg: Hypergraph, include_weights: bool | None = None) -> str
     a decimal point so unit-weight files round-trip byte-for-byte.
     """
     if include_weights is None:
-        include_weights = any(e.weight != 1.0 for e in hg.edges)
+        include_weights = any(w != 1.0 for w in hg.weights)
     header = f"{hg.m} {hg.n} 1" if include_weights else f"{hg.m} {hg.n}"
     lines = [header]
-    for edge in hg.edges:
+    for verts, w in zip(hg.vertices, hg.weights):
         parts = []
         if include_weights:
-            parts.append(_format_weight(edge.weight))
-        parts.extend(str(v + 1) for v in edge.vertices)
+            parts.append(_format_weight(w))
+        parts.extend(str(v + 1) for v in verts)
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -171,16 +207,16 @@ def synthesize_weights(hg: Hypergraph, scheme: WeightScheme) -> Hypergraph:
     if scheme is WeightScheme.UNIT:
         return hg.with_weights([1.0] * hg.m)
     if scheme is WeightScheme.SIZE_COMPLEMENT:
-        return hg.with_weights([float(hg.d - e.size + 1) for e in hg.edges])
+        return hg.with_weights([float(hg.d - len(verts) + 1) for verts in hg.vertices])
     raise InvalidInput(f"unknown weight scheme {scheme!r}")
 
 
 def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> list[int]:
     """Edge ids in presentation order.  Always a permutation of 0..m-1.
 
-    ASCENDING sorts by (weight, id), DESCENDING by (-weight, id); the id
-    component makes both orders total, so equal-weight edges keep their
-    input order.  RANDOM applies a Fisher-Yates shuffle driven by
+    ASCENDING sorts by (weight, id), DESCENDING by (-weight, id): both are
+    stable sorts of the ascending ids by weight, so equal-weight edges keep
+    their input order.  RANDOM applies a Fisher-Yates shuffle driven by
     ``random.Random(seed)`` (CPython's Mersenne Twister), which is stable
     across platforms and runs for a fixed seed.
     """
@@ -188,10 +224,10 @@ def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> list[int]
     if order is StreamOrder.ORIGINAL:
         return ids
     if order is StreamOrder.ASCENDING:
-        ids.sort(key=lambda i: (hg.edges[i].weight, i))
+        ids.sort(key=hg.weights.__getitem__)
         return ids
     if order is StreamOrder.DESCENDING:
-        ids.sort(key=lambda i: (-hg.edges[i].weight, i))
+        ids.sort(key=hg.weights.__getitem__, reverse=True)
         return ids
     if order is StreamOrder.RANDOM:
         random.Random(seed).shuffle(ids)
@@ -215,10 +251,10 @@ def gen_random_hypergraph(n: int, m: int, d_max: int, w_max: int, seed: int) -> 
     if w_max < 1:
         raise InvalidInput(f"w_max must be at least 1, got {w_max}")
     rng = random.Random(seed)
-    edge_data = []
+    vertices = []
+    weights = []
     for _ in range(m):
         size = rng.randint(1, d_max)
-        vertices = tuple(sorted(rng.sample(range(n), size)))
-        weight = float(rng.randint(1, w_max))
-        edge_data.append((vertices, weight))
-    return Hypergraph.build(n, edge_data)
+        vertices.append(tuple(sorted(rng.sample(range(n), size))))
+        weights.append(float(rng.randint(1, w_max)))
+    return Hypergraph(n, vertices, weights)

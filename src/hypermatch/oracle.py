@@ -55,7 +55,8 @@ def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None
     if hg.m > limits.max_edges:
         raise TooLarge(f"{hg.m} edges exceeds the oracle cap of {limits.max_edges}")
 
-    order = sorted(range(hg.m), key=lambda i: (-hg.edges[i].weight, i))
+    # Stable sort of ascending ids: equal weights stay in id order.
+    order = sorted(range(hg.m), key=hg.weights.__getitem__, reverse=True)
     vertex_masks = [_vertex_mask(hg, eid) for eid in order]
     exact = _exact_weights(hg)
     weights = [exact[eid] for eid in order]
@@ -131,23 +132,23 @@ def exhaustive_max_weight_matching(hg: Hypergraph, max_edges: int = 20) -> Match
 
 def is_maximal(hg: Hypergraph, matching: Matching) -> bool:
     """Whether no unselected edge could be added without a conflict."""
-    for edge in hg.edges:
-        if edge.id in matching.edge_ids:
+    for eid, verts in enumerate(hg.vertices):
+        if eid in matching.edge_ids:
             continue
-        if all(matching.owner[v] is None for v in edge.vertices):
+        if all(matching.owner[v] is None for v in verts):
             return False
     return True
 
 
 def _exact_weights(hg: Hypergraph) -> list[int]:
     """Edge weights times one power of two that makes them all integers."""
-    ratios = [edge.weight.as_integer_ratio() for edge in hg.edges]
+    ratios = [w.as_integer_ratio() for w in hg.weights]
     scale = max((den for _, den in ratios), default=1)
     return [num * (scale // den) for num, den in ratios]
 
 
 def _vertex_mask(hg: Hypergraph, eid: int) -> int:
     mask = 0
-    for v in hg.edges[eid].vertices:
+    for v in hg.vertices[eid]:
         mask |= 1 << v
     return mask

@@ -22,9 +22,7 @@ import enum
 import time
 from dataclasses import dataclass
 
-from .core import (
-    Hyperedge, Hypergraph, InvalidInput, Matching, RunMetrics, check_stream, first_fit,
-)
+from .core import Hypergraph, InvalidInput, Matching, RunMetrics, check_stream, first_fit
 
 
 class UpdateRule(enum.Enum):
@@ -46,36 +44,44 @@ class DualState:
         return cls([0.0] * n, epsilon)
 
 
-def edge_dual_sum(dual: DualState, edge: Hyperedge) -> float:
-    """Sum of the potentials of the edge's vertices.
+def edge_dual_sum(dual: DualState, hg: Hypergraph, eid: int) -> float:
+    """Sum of the potentials of edge ``eid``'s vertices.
 
     Always accumulated left to right over the sorted vertex tuple, so the
     floating-point result is reproducible.
     """
+    potentials = dual.potentials
     total = 0.0
-    for v in edge.vertices:
-        total += dual.potentials[v]
+    for v in hg.vertices[eid]:
+        total += potentials[v]
     return total
 
 
-def admit(dual: DualState, edge: Hyperedge) -> bool:
-    """Whether the edge clears the admission threshold; equality admits."""
-    return edge.weight >= (1.0 + dual.epsilon) * edge_dual_sum(dual, edge)
+def admit(dual: DualState, hg: Hypergraph, eid: int, covered: float) -> bool:
+    """Whether edge ``eid`` clears the admission threshold; equality admits.
+
+    ``covered`` is the edge's :func:`edge_dual_sum` in the current state.
+    """
+    return hg.weights[eid] >= (1.0 + dual.epsilon) * covered
 
 
-def apply_update(dual: DualState, edge: Hyperedge, rule: UpdateRule) -> None:
-    """Raise the potentials of the edge's vertices for an admitted edge.
+def apply_update(
+    dual: DualState, hg: Hypergraph, eid: int, rule: UpdateRule, covered: float
+) -> None:
+    """Raise the potentials of edge ``eid``'s vertices after it is admitted.
 
-    The covered sum is recomputed here with the same summation order as
-    :func:`admit`, so both see bit-identical values.  GUARANTEE adds the
-    full surplus to every endpoint; LENIENT divides it by the edge size.
+    ``covered`` is the same :func:`edge_dual_sum` that :func:`admit` saw,
+    so a stack step sums the potentials once.  GUARANTEE adds the full
+    surplus to every endpoint; LENIENT divides it by the edge size.
     Admitted edges have non-negative surplus, so potentials never decrease.
     """
-    surplus = edge.weight - edge_dual_sum(dual, edge)
+    verts = hg.vertices[eid]
+    surplus = hg.weights[eid] - covered
     if rule is UpdateRule.LENIENT:
-        surplus /= edge.size
-    for v in edge.vertices:
-        dual.potentials[v] += surplus
+        surplus /= len(verts)
+    potentials = dual.potentials
+    for v in verts:
+        potentials[v] += surplus
 
 
 def run_stack_stream(
@@ -96,16 +102,18 @@ def run_stack_stream(
     stack_pins = 0
     pushes_per_vertex = [0] * hg.n
     metrics = RunMetrics()
+    vertices = hg.vertices
 
     start = time.perf_counter_ns()
     for eid in stream:
-        edge = hg.edges[eid]
-        if not admit(dual, edge):
+        covered = edge_dual_sum(dual, hg, eid)
+        if not admit(dual, hg, eid, covered):
             continue
         stack.append(eid)
-        stack_pins += edge.size
-        apply_update(dual, edge, rule)
-        for v in edge.vertices:
+        apply_update(dual, hg, eid, rule, covered)
+        verts = vertices[eid]
+        stack_pins += len(verts)
+        for v in verts:
             pushes_per_vertex[v] += 1
     chosen = first_fit(hg, reversed(stack))
     metrics.runtime_ns = time.perf_counter_ns() - start
@@ -129,8 +137,8 @@ def dual_feasible(hg: Hypergraph, dual: DualState) -> bool:
     A run with the GUARANTEE rule always ends in a feasible state.
     """
     scale = 1.0 + dual.epsilon
-    for edge in hg.edges:
-        if scale * edge_dual_sum(dual, edge) < edge.weight - 1e-9 * edge.weight:
+    for eid, w in enumerate(hg.weights):
+        if scale * edge_dual_sum(dual, hg, eid) < w - 1e-9 * w:
             return False
     return True
 

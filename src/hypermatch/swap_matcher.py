@@ -19,14 +19,13 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Hyperedge, Hypergraph, InvalidInput, Matching, RunMetrics, check_stream
+from .core import Hypergraph, InvalidInput, Matching, RunMetrics, check_stream
 
 
 @dataclass
 class SwapState:
     """Per-vertex reference to the covering matched edge, plus alpha."""
 
-    hg: Hypergraph
     best: list[Optional[int]]
     alpha: float
 
@@ -34,43 +33,43 @@ class SwapState:
     def empty(cls, hg: Hypergraph, alpha: float) -> "SwapState":
         if alpha < 0:
             raise InvalidInput(f"alpha must be non-negative, got {alpha}")
-        return cls(hg, [None] * hg.n, alpha)
+        return cls([None] * hg.n, alpha)
 
     def matched_ids(self) -> list[int]:
         """Distinct ids of the currently matched edges, ascending."""
         return sorted({eid for eid in self.best if eid is not None})
 
 
-def conflict_set(state: SwapState, edge: Hyperedge) -> list[int]:
-    """Ids of the distinct matched edges sharing a vertex with ``edge``.
+def conflict_set(state: SwapState, hg: Hypergraph, eid: int) -> list[int]:
+    """Ids of the distinct matched edges sharing a vertex with edge ``eid``.
 
     Deduplicated and sorted ascending, so the caller's iteration order and
     any weight accumulation over the set are deterministic.
     """
-    return sorted(
-        {state.best[v] for v in edge.vertices if state.best[v] is not None}
-    )
+    best = state.best
+    return sorted({best[v] for v in hg.vertices[eid] if best[v] is not None})
 
 
-def try_swap(state: SwapState, edge: Hyperedge) -> bool:
-    """Swap ``edge`` in if it outweighs its conflicts by ``1 + alpha``.
+def try_swap(state: SwapState, hg: Hypergraph, eid: int) -> bool:
+    """Swap edge ``eid`` in if it outweighs its conflicts by ``1 + alpha``.
 
     Fires when ``W(e) >= (1 + alpha) * W(conflicts)``, so an edge touching
     only free vertices always enters.  On a swap the conflicting edges are
     cleared in ascending id order before the new edge claims its vertices.
     Returns whether the swap fired.
     """
-    conflicts = conflict_set(state, edge)
+    vertices, weights, best = hg.vertices, hg.weights, state.best
+    conflicts = conflict_set(state, hg, eid)
     conflict_weight = 0.0
-    for eid in conflicts:
-        conflict_weight += state.hg.edges[eid].weight
-    if edge.weight < (1.0 + state.alpha) * conflict_weight:
+    for other in conflicts:
+        conflict_weight += weights[other]
+    if weights[eid] < (1.0 + state.alpha) * conflict_weight:
         return False
-    for eid in conflicts:
-        for v in state.hg.edges[eid].vertices:
-            state.best[v] = None
-    for v in edge.vertices:
-        state.best[v] = edge.id
+    for other in conflicts:
+        for v in vertices[other]:
+            best[v] = None
+    for v in vertices[eid]:
+        best[v] = eid
     return True
 
 
@@ -89,7 +88,7 @@ def run_swapset(
     start = time.perf_counter_ns()
     fired = 0
     for eid in stream:
-        fired += try_swap(state, hg.edges[eid])
+        fired += try_swap(state, hg, eid)
     matched = state.matched_ids()
     metrics.runtime_ns = time.perf_counter_ns() - start
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -9,10 +10,31 @@ import pytest
 
 from hypermatch import cli
 from hypermatch.cli import CSV_COLUMNS, main
+from hypermatch.core import Hyperedge
 from hypermatch.ingest import StreamOrder, WeightScheme, gen_random_hypergraph, serialize_hmetis
 from hypermatch.swap_matcher import optimal_alpha
 
 TWO_EDGE_FILE = "2 3 1\n1 1 2\n3 2 3\n"
+
+# Decimal weights, unsorted vertex lists, a comment and a CRLF line end.
+DECIMAL_FILE = (
+    "% decimal weights\n"
+    "9 7 1\n"
+    "0.2 3\n"
+    "0.2 2\n"
+    "0.7 1\r\n"
+    "0.4 3 2\n"
+    "2.5 7 1 4\n"
+    "0.1 5 6\n"
+    "1.3 6 4 2\n"
+    "0.30000000000000004 7\n"
+    "2.6 1 3 5 7\n"
+)
+
+# sha256 of every row of the grid in test_grid_records_match_golden_digest,
+# runtime_ns removed.  Any change to a matching, a counter, a certificate or
+# a label changes it.
+GOLDEN_GRID_SHA256 = "e891b788e3fefca15d0ac85b7795051aa95004d35d3af676ce2782258e16f331"
 
 
 def run_cli(argv: list[str], capsys) -> tuple[int, str, str]:
@@ -193,6 +215,46 @@ def test_grid_records_cell_errors_and_continues(tmp_path, capsys) -> None:
     assert rows[0]["matching_weight"] == ""
     assert rows[1]["error"] == ""
     assert rows[1]["matching_weight"] != ""
+
+
+def test_grid_records_match_golden_digest(tmp_path, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    Path("decimal.hgr").write_text(DECIMAL_FILE, newline="")
+    axes = ["--gen", "12,18,4,100", "--gen", "30,40,3,10", "--input", "decimal.hgr",
+            "--epsilon", "0", "--epsilon", "0.5",
+            "--alpha", "auto", "--alpha", "0.25", "--alpha", "0",
+            "--seed", "1", "--seed", "2", "--certify", "--emit-matching"]
+    axes += [arg for a in cli.ALGORITHMS for arg in ("--algorithm", a)]
+    axes += [arg for o in StreamOrder for arg in ("--order", o.value)]
+    digest = hashlib.sha256()
+    rows = 0
+    for scheme in WeightScheme:
+        out = tmp_path / f"{scheme.value}.csv"
+        assert main(["grid", *axes, "--weights", scheme.value, "--output", str(out)]) == 0
+        for row in csv_rows(out.read_text()):
+            assert row["error"] == ""
+            row.pop("runtime_ns")
+            digest.update(("\t".join(row.values()) + "\n").encode())
+            rows += 1
+    assert rows == 3 * 3 * (2 * 2 * 4 * 2 + 3 * 4 * 2 + 2 * 4 * 2)
+    assert digest.hexdigest() == GOLDEN_GRID_SHA256
+
+
+def test_grid_builds_no_hyperedge_objects(tmp_path, monkeypatch) -> None:
+    def refuse(edge):
+        raise AssertionError(f"Hyperedge built for edge {edge.id}")
+
+    path = tmp_path / "small.hgr"
+    path.write_text(serialize_hmetis(gen_random_hypergraph(12, 18, 4, 100, seed=3)))
+    out = tmp_path / "records.csv"
+    monkeypatch.setattr(Hyperedge, "__post_init__", refuse)
+    argv = ["grid", "--input", str(path), "--gen", "12,18,4,100", "--order", "random",
+            "--certify", "--emit-matching", "--output", str(out)]
+    argv += [arg for a in cli.ALGORITHMS for arg in ("--algorithm", a)]
+    assert main(argv) == 0
+    rows = csv_rows(out.read_text())
+    assert len(rows) == 2 * len(cli.ALGORITHMS)
+    assert all(row["error"] == "" and row["oracle_weight"] != "" for row in rows)
 
 
 def test_grid_propagates_programming_errors(monkeypatch) -> None:

@@ -59,7 +59,7 @@ def test_hypergraph_derived_fields() -> None:
 
 
 def test_hypergraph_empty() -> None:
-    hg = Hypergraph(3, ())
+    hg = Hypergraph(3, (), ())
     assert hg.m == 0
     assert hg.d == 0
     assert hg.total_pins == 0
@@ -70,14 +70,29 @@ def test_hypergraph_rejects_vertex_out_of_range() -> None:
         Hypergraph.build(2, [((0, 2), 1.0)])
 
 
-def test_hypergraph_rejects_id_position_mismatch() -> None:
+@pytest.mark.parametrize(
+    "vertices,weights",
+    [
+        (((1, 0),), (1.0,)),  # unsorted
+        (((0, 0),), (1.0,)),  # repeated
+        (((0, 3),), (1.0,)),  # past n - 1
+        (((-1, 0),), (1.0,)),  # negative
+        (((),), (1.0,)),  # empty
+        (((0,), (1,)), (1.0,)),  # length mismatch
+        (((0,),), (0.0,)),
+        (((0,),), (-2.0,)),
+        (((0,),), (math.inf,)),
+        (((0,),), (math.nan,)),
+    ],
+)
+def test_hypergraph_rejects_bad_arrays(vertices, weights) -> None:
     with pytest.raises(InvalidInput):
-        Hypergraph(3, (Hyperedge(1, (0, 1), 1.0),))
+        Hypergraph(3, vertices, weights)
 
 
 def test_hypergraph_rejects_negative_n() -> None:
     with pytest.raises(InvalidInput):
-        Hypergraph(-1, ())
+        Hypergraph(-1, (), ())
 
 
 def test_hypergraph_rejects_overflowing_total_weight() -> None:

@@ -45,7 +45,7 @@ def test_exact_tie_break_prefers_lexicographically_smallest_ids() -> None:
 
 
 def test_exact_empty_instance() -> None:
-    hg = Hypergraph(5, ())
+    hg = Hypergraph(5, (), ())
     matching = exact_max_weight_matching(hg)
     assert matching.edge_ids == frozenset()
     assert matching.weight == 0.0
@@ -100,7 +100,7 @@ def test_is_maximal_examples() -> None:
 
 
 def test_is_maximal_on_empty_hypergraph() -> None:
-    hg = Hypergraph(3, ())
+    hg = Hypergraph(3, (), ())
     assert is_maximal(hg, Matching.from_edge_ids(hg, []))
 
 

@@ -29,37 +29,37 @@ def two_edge_path() -> Hypergraph:
 def test_edge_dual_sum() -> None:
     hg = two_edge_path()
     dual = DualState.zeros(3, 0.0)
-    assert edge_dual_sum(dual, hg.edges[0]) == 0.0
+    assert edge_dual_sum(dual, hg, 0) == 0.0
     dual.potentials = [0.5, 0.5, 0.0]
-    assert edge_dual_sum(dual, hg.edges[0]) == 1.0
+    assert edge_dual_sum(dual, hg, 0) == 1.0
 
 
 def test_admit_equality_admits() -> None:
     hg = two_edge_path()
     dual = DualState.zeros(3, 0.0)
     dual.potentials = [0.5, 0.5, 0.0]
-    assert admit(dual, hg.edges[0])  # 1.0 >= 1.0
+    assert admit(dual, hg, 0, edge_dual_sum(dual, hg, 0))  # 1.0 >= 1.0
 
 
 def test_admit_epsilon_scales_threshold() -> None:
     hg = Hypergraph.build(2, [((0, 1), 1.0), ((0, 1), 1.1)])
     dual = DualState.zeros(2, 0.1)
     dual.potentials = [0.5, 0.5]
-    assert not admit(dual, hg.edges[0])  # 1.0 < 1.1 * 1.0
-    assert admit(dual, hg.edges[1])  # 1.1 >= 1.1
+    assert not admit(dual, hg, 0, edge_dual_sum(dual, hg, 0))  # 1.0 < 1.1 * 1.0
+    assert admit(dual, hg, 1, edge_dual_sum(dual, hg, 1))  # 1.1 >= 1.1
 
 
 def test_apply_update_guarantee_adds_full_surplus() -> None:
     hg = two_edge_path()
     dual = DualState.zeros(3, 0.0)
-    apply_update(dual, hg.edges[0], UpdateRule.GUARANTEE)
+    apply_update(dual, hg, 0, UpdateRule.GUARANTEE, edge_dual_sum(dual, hg, 0))
     assert dual.potentials == [1.0, 1.0, 0.0]
 
 
 def test_apply_update_lenient_divides_by_size() -> None:
     hg = two_edge_path()
     dual = DualState.zeros(3, 0.0)
-    apply_update(dual, hg.edges[0], UpdateRule.LENIENT)
+    apply_update(dual, hg, 0, UpdateRule.LENIENT, edge_dual_sum(dual, hg, 0))
     assert dual.potentials == [0.5, 0.5, 0.0]
 
 
@@ -67,7 +67,7 @@ def test_apply_update_zero_surplus_is_noop() -> None:
     hg = two_edge_path()
     dual = DualState.zeros(3, 0.0)
     dual.potentials = [0.5, 0.5, 0.0]
-    apply_update(dual, hg.edges[0], UpdateRule.GUARANTEE)
+    apply_update(dual, hg, 0, UpdateRule.GUARANTEE, edge_dual_sum(dual, hg, 0))
     assert dual.potentials == [0.5, 0.5, 0.0]
 
 
@@ -107,7 +107,7 @@ def test_run_epsilon_blocks_marginal_improvements() -> None:
 
 
 def test_run_empty_hypergraph() -> None:
-    hg = Hypergraph(4, ())
+    hg = Hypergraph(4, (), ())
     matching, dual, metrics = run_stack_stream(hg, [], 0.5, UpdateRule.GUARANTEE)
     assert matching.edge_ids == frozenset()
     assert matching.weight == 0.0
@@ -203,10 +203,11 @@ def test_potentials_never_decrease() -> None:
     for hg in random_instances(40, meta_seed=205):
         for rule in UpdateRule:
             dual = DualState.zeros(hg.n, 0.2)
-            for edge in hg.edges:
+            for eid in range(hg.m):
                 before = dual.potentials[:]
-                if admit(dual, edge):
-                    apply_update(dual, edge, rule)
+                covered = edge_dual_sum(dual, hg, eid)
+                if admit(dual, hg, eid, covered):
+                    apply_update(dual, hg, eid, rule, covered)
                     for old, new in zip(before, dual.potentials):
                         assert new >= old
 

@@ -27,7 +27,7 @@ def overlap_pair() -> Hypergraph:
 def test_conflict_set_empty_state() -> None:
     hg = overlap_pair()
     state = SwapState.empty(hg, 0.5)
-    assert conflict_set(state, hg.edges[0]) == []
+    assert conflict_set(state, hg, 0) == []
 
 
 def test_conflict_set_dedupes_and_sorts() -> None:
@@ -35,17 +35,17 @@ def test_conflict_set_dedupes_and_sorts() -> None:
         6, [((0, 1), 1.0), ((2, 3), 1.0), ((1, 2), 1.0), ((0, 1, 2, 3), 9.0)]
     )
     state = SwapState.empty(hg, 0.0)
-    assert try_swap(state, hg.edges[0])
-    assert try_swap(state, hg.edges[1])
-    assert conflict_set(state, hg.edges[3]) == [0, 1]
-    assert conflict_set(state, hg.edges[2]) == [0, 1]
+    assert try_swap(state, hg, 0)
+    assert try_swap(state, hg, 1)
+    assert conflict_set(state, hg, 3) == [0, 1]
+    assert conflict_set(state, hg, 2) == [0, 1]
 
 
 def test_try_swap_fires_at_low_alpha() -> None:
     hg = overlap_pair()
     state = SwapState.empty(hg, 0.4)
-    assert try_swap(state, hg.edges[0])
-    assert try_swap(state, hg.edges[1])  # 3 >= 1.4 * 2
+    assert try_swap(state, hg, 0)
+    assert try_swap(state, hg, 1)  # 3 >= 1.4 * 2
     assert state.best == [None, 1, 1]
     assert state.matched_ids() == [1]
 
@@ -53,20 +53,20 @@ def test_try_swap_fires_at_low_alpha() -> None:
 def test_try_swap_holds_at_high_alpha() -> None:
     hg = overlap_pair()
     state = SwapState.empty(hg, 1.0)
-    assert try_swap(state, hg.edges[0])
-    assert not try_swap(state, hg.edges[1])  # 3 < 2 * 2
+    assert try_swap(state, hg, 0)
+    assert not try_swap(state, hg, 1)  # 3 < 2 * 2
     assert state.best == [0, 0, None]
 
 
 def test_try_swap_alpha_zero_trades_equal_weight() -> None:
     hg = Hypergraph.build(2, [((0, 1), 2.0), ((0, 1), 2.0)])
     state = SwapState.empty(hg, 0.0)
-    assert try_swap(state, hg.edges[0])
-    assert try_swap(state, hg.edges[1])
+    assert try_swap(state, hg, 0)
+    assert try_swap(state, hg, 1)
     assert state.matched_ids() == [1]
     strict = SwapState.empty(hg, 0.1)
-    assert try_swap(strict, hg.edges[0])
-    assert not try_swap(strict, hg.edges[1])  # 2 < 2.2
+    assert try_swap(strict, hg, 0)
+    assert not try_swap(strict, hg, 1)  # 2 < 2.2
 
 
 def test_try_swap_evicts_whole_conflicting_edges() -> None:
@@ -74,9 +74,9 @@ def test_try_swap_evicts_whole_conflicting_edges() -> None:
         4, [((0, 1), 1.0), ((2, 3), 1.0), ((1, 2), 5.0)]
     )
     state = SwapState.empty(hg, 0.5)
-    assert try_swap(state, hg.edges[0])
-    assert try_swap(state, hg.edges[1])
-    assert try_swap(state, hg.edges[2])  # 5 >= 1.5 * 2, evicts both
+    assert try_swap(state, hg, 0)
+    assert try_swap(state, hg, 1)
+    assert try_swap(state, hg, 2)  # 5 >= 1.5 * 2, evicts both
     assert state.best == [None, 2, 2, None]
 
 
@@ -116,8 +116,8 @@ def test_state_stays_consistent_after_every_step() -> None:
     # every vertex of a referenced edge must reference it back
     for hg in random_instances(80, meta_seed=301):
         state = SwapState.empty(hg, 0.3)
-        for edge in hg.edges:
-            try_swap(state, edge)
+        for eid in range(hg.m):
+            try_swap(state, hg, eid)
             live = state.matched_ids()
             assert len(live) <= hg.n
             for v, eid in enumerate(state.best):
@@ -138,8 +138,8 @@ def test_swaps_count_the_conflicts_of_fired_swaps() -> None:
                 state = SwapState.empty(hg, alpha)
                 evicted = 0
                 for eid in stream:
-                    conflicts = conflict_set(state, hg.edges[eid])
-                    if try_swap(state, hg.edges[eid]):
+                    conflicts = conflict_set(state, hg, eid)
+                    if try_swap(state, hg, eid):
                         evicted += len(conflicts)
                 _, metrics = run_swapset(hg, stream, alpha)
                 assert metrics.swaps == evicted
