@@ -21,7 +21,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields
+from array import array
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO, Union
@@ -175,6 +176,20 @@ class _LoadedInstance:
     """A loaded instance, shared by every cell that runs on it."""
 
     hg: Hypergraph
+    streams: dict = field(default_factory=dict)
+
+    def stream(self, order: StreamOrder, seed: int) -> list[int]:
+        """The edge ids in ``order``, as a new list on every call.
+
+        Each distinct stream is ordered once and kept as a compact array,
+        8 bytes per edge.  Only the random order reads the seed, so the
+        other orders are kept once whatever the seed.
+        """
+        key = (order, seed) if order is StreamOrder.RANDOM else order
+        ids = self.streams.get(key)
+        if ids is None:
+            ids = self.streams[key] = array("q", order_stream(self.hg, order, seed))
+        return ids.tolist()
 
     @cached_property
     def oracle_weight(self) -> Optional[float]:
@@ -195,7 +210,7 @@ def _run_cell(spec: RunSpec, instance: _LoadedInstance) -> ResultRecord:
     """Run one validated cell on an already loaded instance."""
     hg = instance.hg
     # greedy sorts internally; the order axis does not affect it
-    stream = None if spec.algorithm == "greedy" else order_stream(hg, spec.order, spec.seed)
+    stream = None if spec.algorithm == "greedy" else instance.stream(spec.order, spec.seed)
     dual = None
     knobs: dict = {}
     if spec.algorithm in STACK_FAMILY:
@@ -232,7 +247,8 @@ def grid(specs: Iterable[RunSpec]) -> Iterator[ResultRecord]:
 
     Each instance is loaded once and shared, with its exact optimum, by the
     cells that use it: a file is read once per weight scheme, a generated
-    instance once per seed and weight scheme.  The cache holds one source
+    instance once per seed and weight scheme.  Each loaded instance orders
+    each distinct (order, seed) stream once.  The cache holds one source
     at a time, since ``expand_grid`` iterates sources outermost.  A failed
     load is not cached, so every cell of a bad source gets its own error.
     """

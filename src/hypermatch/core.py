@@ -222,11 +222,16 @@ def check_stream(hg: Hypergraph, stream: Iterable[int]) -> None:
     stream = list(stream)
     if len(stream) != hg.m:
         raise InvalidInput(f"stream has {len(stream)} entries for {hg.m} edges")
-    seen = [False] * hg.m
-    for eid in stream:
-        if not 0 <= eid < hg.m or seen[eid]:
-            raise InvalidInput(f"stream is not a permutation of edge ids: {eid}")
-        seen[eid] = True
+    m = hg.m
+    seen = [False] * m
+    try:
+        for eid in stream:
+            if not 0 <= eid < m or seen[eid]:
+                raise InvalidInput(f"stream is not a permutation of edge ids: {eid}")
+            seen[eid] = True
+    except TypeError:
+        # a float, None or string entry fails the comparison or the index
+        raise InvalidInput(f"stream entries must be integer edge ids, got {eid!r}") from None
 
 
 def matching_weight(hg: Hypergraph, edge_ids: Iterable[int]) -> float:

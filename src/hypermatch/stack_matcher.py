@@ -14,11 +14,19 @@ matching, so the result is within ``1 / (d * (1 + epsilon))`` of optimal
 for instances of maximum edge size d.  LENIENT spreads the surplus evenly
 across the endpoints (``(W(e) - sum) / |e|``), admitting more edges at the
 price of that certificate.
+
+:func:`run_stack_stream` does each edge's work inline, on the flat arrays
+held in local variables.  :func:`edge_dual_sum`, :func:`admit` and
+:func:`apply_update` are the per-edge reference for that loop body: folded
+over a stream they perform the same float operations in the same order, so
+they give bit-identical potentials.  ``epsilon`` must be finite and
+non-negative.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 
@@ -39,8 +47,8 @@ class DualState:
 
     @classmethod
     def zeros(cls, n: int, epsilon: float) -> "DualState":
-        if epsilon < 0:
-            raise InvalidInput(f"epsilon must be non-negative, got {epsilon}")
+        if not 0 <= epsilon < math.inf:
+            raise InvalidInput(f"epsilon must be non-negative and finite, got {epsilon}")
         return cls([0.0] * n, epsilon)
 
 
@@ -98,22 +106,32 @@ def run_stack_stream(
     """
     check_stream(hg, stream)
     dual = DualState.zeros(hg.n, epsilon)
+    potentials = dual.potentials
     stack: list[int] = []
     stack_pins = 0
     pushes_per_vertex = [0] * hg.n
     metrics = RunMetrics()
-    vertices = hg.vertices
+    vertices, weights = hg.vertices, hg.weights
+    scale = 1.0 + epsilon
+    lenient = rule is UpdateRule.LENIENT
 
     start = time.perf_counter_ns()
+    # edge_dual_sum, admit and apply_update, inlined
     for eid in stream:
-        covered = edge_dual_sum(dual, hg, eid)
-        if not admit(dual, hg, eid, covered):
+        verts = vertices[eid]
+        covered = 0.0
+        for v in verts:
+            covered += potentials[v]
+        w = weights[eid]
+        if not w >= scale * covered:
             continue
         stack.append(eid)
-        apply_update(dual, hg, eid, rule, covered)
-        verts = vertices[eid]
+        surplus = w - covered
+        if lenient:
+            surplus /= len(verts)
         stack_pins += len(verts)
         for v in verts:
+            potentials[v] += surplus
             pushes_per_vertex[v] += 1
     chosen = first_fit(hg, reversed(stack))
     metrics.runtime_ns = time.perf_counter_ns() - start
@@ -137,8 +155,12 @@ def dual_feasible(hg: Hypergraph, dual: DualState) -> bool:
     A run with the GUARANTEE rule always ends in a feasible state.
     """
     scale = 1.0 + dual.epsilon
-    for eid, w in enumerate(hg.weights):
-        if scale * edge_dual_sum(dual, hg, eid) < w - 1e-9 * w:
+    potentials = dual.potentials
+    for verts, w in zip(hg.vertices, hg.weights):
+        covered = 0.0
+        for v in verts:
+            covered += potentials[v]
+        if scale * covered < w - 1e-9 * w:
             return False
     return True
 

@@ -9,7 +9,12 @@ live state never exceeds the vertex count regardless of stream length.
 For ``alpha > 0`` the final matching is within ``swapset_ratio(alpha, d)``
 of optimal on instances of maximum edge size ``d``; :func:`optimal_alpha`
 gives the ratio-maximising choice.  With ``alpha = 0`` equal-weight swaps
-fire and no ratio is guaranteed.
+fire and no ratio is guaranteed.  ``alpha`` must be finite.
+
+:func:`run_swapset` does each edge's work inline, on the flat arrays held
+in local variables; :func:`conflict_set` and :func:`try_swap` are the
+per-edge reference for that loop body, and folding :func:`try_swap` over a
+stream gives the same matching.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ class SwapState:
 
     @classmethod
     def empty(cls, hg: Hypergraph, alpha: float) -> "SwapState":
-        if alpha < 0:
-            raise InvalidInput(f"alpha must be non-negative, got {alpha}")
+        if not 0 <= alpha < math.inf:
+            raise InvalidInput(f"alpha must be non-negative and finite, got {alpha}")
         return cls([None] * hg.n, alpha)
 
     def matched_ids(self) -> list[int]:
@@ -79,16 +84,41 @@ def run_swapset(
     """Run the swap matcher over ``stream``.
 
     ``stream`` must be a permutation of the edge ids and ``alpha``
-    non-negative.  ``metrics.swaps`` counts evicted edges.
+    non-negative and finite.  ``metrics.swaps`` counts evicted edges.
     """
     check_stream(hg, stream)
     state = SwapState.empty(hg, alpha)
+    best = state.best
+    vertices, weights = hg.vertices, hg.weights
+    scale = 1.0 + alpha
     metrics = RunMetrics()
 
     start = time.perf_counter_ns()
     fired = 0
+    # try_swap, inlined
     for eid in stream:
-        fired += try_swap(state, hg, eid)
+        verts = vertices[eid]
+        owners = []
+        for v in verts:
+            other = best[v]
+            if other is not None and other not in owners:
+                owners.append(other)
+        # with no owners the conflict weight is 0.0, which a positive
+        # weight always clears, so the edge enters without the comparison
+        if owners:
+            if len(owners) > 1:
+                owners.sort()
+            conflict_weight = 0.0
+            for other in owners:
+                conflict_weight += weights[other]
+            if weights[eid] < scale * conflict_weight:
+                continue
+            for other in owners:
+                for v in vertices[other]:
+                    best[v] = None
+        for v in verts:
+            best[v] = eid
+        fired += 1
     matched = state.matched_ids()
     metrics.runtime_ns = time.perf_counter_ns() - start
 
@@ -121,8 +151,8 @@ def swapset_ratio(alpha: float, d: int) -> float:
     trades and the ratio collapses.  At the :func:`optimal_alpha` threshold
     this simplifies to ``1 / ((2d - 1) + 2 * sqrt(d * (d - 1)))``.
     """
-    if alpha <= 0:
-        raise InvalidInput(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise InvalidInput(f"alpha must be positive and finite, got {alpha}")
     if d < 1:
         raise InvalidInput(f"edge size must be at least 1, got {d}")
     return 1.0 / ((1.0 + alpha) * ((d - 1) / alpha + d))

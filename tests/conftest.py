@@ -34,3 +34,10 @@ def random_instances(
         w_max = meta.choice(weight_caps)
         instances.append(gen_random_hypergraph(n, m, d_max, w_max, meta.randrange(1 << 30)))
     return instances
+
+
+def with_decimal_weights(hg: Hypergraph, seed: int) -> Hypergraph:
+    """``hg`` with seeded decimal weights (one to three places, so some tie)."""
+    rng = random.Random(seed)
+    weights = [round(rng.uniform(0.1, 10.0), rng.randint(1, 3)) for _ in range(hg.m)]
+    return Hypergraph(hg.n, hg.vertices, weights)

@@ -282,8 +282,8 @@ def test_grid_loads_and_solves_each_instance_once(tmp_path, monkeypatch) -> None
     ))
     expected = [cli.run(spec).as_dict() for spec in specs]
 
-    calls = {"load": [], "oracle": 0}
-    load, solve = cli.load_instance, cli.exact_max_weight_matching
+    calls = {"load": [], "oracle": 0, "order": []}
+    load, solve, order = cli.load_instance, cli.exact_max_weight_matching, cli.order_stream
 
     def counting_load(spec):
         calls["load"].append(spec.input_path or (spec.gen, spec.seed))
@@ -293,8 +293,13 @@ def test_grid_loads_and_solves_each_instance_once(tmp_path, monkeypatch) -> None
         calls["oracle"] += 1
         return solve(hg, limits)
 
+    def counting_order(hg, stream_order, seed=0):
+        calls["order"].append((stream_order, seed))
+        return order(hg, stream_order, seed)
+
     monkeypatch.setattr(cli, "load_instance", counting_load)
     monkeypatch.setattr(cli, "exact_max_weight_matching", counting_solve)
+    monkeypatch.setattr(cli, "order_stream", counting_order)
     got = [record.as_dict() for record in cli.grid(specs)]
 
     for record in expected + got:
@@ -304,6 +309,13 @@ def test_grid_loads_and_solves_each_instance_once(tmp_path, monkeypatch) -> None
     assert got == expected
     assert calls["load"] == [str(path), ((8, 10, 3, 50), 1), ((8, 10, 3, 50), 2)]
     assert calls["oracle"] == 3
+    # one stream per distinct (order, seed) and loaded instance; the original
+    # order ignores the seed, so the file's two seeds share it
+    original, shuffled = StreamOrder.ORIGINAL, StreamOrder.RANDOM
+    assert calls["order"] == [
+        (original, 1), (shuffled, 1), (shuffled, 2),  # the file, for both seeds
+        (original, 1), (original, 2), (shuffled, 1), (shuffled, 2),  # one instance per seed
+    ]
 
 
 def test_oracle_subcommand(tmp_path, capsys) -> None:
@@ -374,6 +386,19 @@ def test_mismatched_knobs_exit_2(capsys) -> None:
         capsys,
     )
     assert code == 2
+
+
+def test_non_finite_knobs_exit_2(capsys) -> None:
+    for algorithm, knob in (("stack", "--epsilon"), ("swapset", "--alpha")):
+        for value in ("nan", "inf", "-inf"):
+            code, out, err = run_cli(
+                ["run", "--gen", "10,20,3,10", "--algorithm", algorithm,
+                 f"{knob}={value}", "--certify"],
+                capsys,
+            )
+            assert code == 2
+            assert out == ""
+            assert json.loads(err)["error"] == "invalid_input"
 
 
 def test_bad_gen_spec_exits_2(capsys) -> None:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hypermatch.core import Hypergraph, InvalidInput, validate_matching
+from hypermatch.core import Hypergraph, InvalidInput, Matching, first_fit, validate_matching
 from hypermatch.ingest import StreamOrder, order_stream
 from hypermatch.oracle import exact_max_weight_matching
 from hypermatch.stack_matcher import (
@@ -19,7 +19,7 @@ from hypermatch.stack_matcher import (
     run_stack_stream,
 )
 
-from conftest import random_instances
+from conftest import random_instances, with_decimal_weights
 
 
 def two_edge_path() -> Hypergraph:
@@ -124,12 +124,18 @@ def test_run_rejects_bad_stream() -> None:
         run_stack_stream(hg, [0], 0.0)
     with pytest.raises(InvalidInput):
         run_stack_stream(hg, [0, 0], 0.0)
+    for stream in ([0, 1.0], [0, 1.5], [0, None], [0, "1"]):
+        with pytest.raises(InvalidInput):
+            run_stack_stream(hg, stream, 0.0)
 
 
 def test_negative_epsilon_rejected() -> None:
     hg = two_edge_path()
     with pytest.raises(InvalidInput):
         run_stack_stream(hg, [0, 1], -0.1)
+    for epsilon in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput):
+            run_stack_stream(hg, [0, 1], epsilon)
 
 
 def test_lenient_admits_more_than_guarantee() -> None:
@@ -224,3 +230,35 @@ def test_runs_are_deterministic() -> None:
             assert dataclasses.replace(metrics, runtime_ns=0) == dataclasses.replace(
                 results[0][2], runtime_ns=0
             )
+
+
+def reference_stack_run(
+    hg: Hypergraph, stream: list[int], epsilon: float, rule: UpdateRule
+) -> tuple[DualState, list[int]]:
+    """Fold the per-edge helpers over ``stream``: the final state and the stack."""
+    dual = DualState.zeros(hg.n, epsilon)
+    stack = []
+    for eid in stream:
+        covered = edge_dual_sum(dual, hg, eid)
+        if admit(dual, hg, eid, covered):
+            stack.append(eid)
+            apply_update(dual, hg, eid, rule, covered)
+    return dual, stack
+
+
+def test_run_matches_the_helper_fold() -> None:
+    instances = random_instances(40, meta_seed=207, n_max=30, m_max=60, d_cap=5)
+    instances += [with_decimal_weights(hg, seed) for seed, hg in enumerate(instances)]
+    for hg in instances:
+        for epsilon in (0.0, 0.1, 1.0):
+            for rule in UpdateRule:
+                for order in StreamOrder:
+                    stream = order_stream(hg, order, seed=19)
+                    dual, stack = reference_stack_run(hg, stream, epsilon, rule)
+                    matching, run_dual, metrics = run_stack_stream(hg, stream, epsilon, rule)
+                    assert run_dual.potentials == dual.potentials
+                    assert metrics.pushes == len(stack)
+                    assert metrics.peak_stack_pins == sum(len(hg.vertices[e]) for e in stack)
+                    assert matching == Matching.from_edge_ids(
+                        hg, first_fit(hg, reversed(stack))
+                    )

@@ -17,7 +17,7 @@ from hypermatch.swap_matcher import (
     try_swap,
 )
 
-from conftest import random_instances
+from conftest import random_instances, with_decimal_weights
 
 
 def overlap_pair() -> Hypergraph:
@@ -103,12 +103,30 @@ def test_run_swapset_example_thresholds() -> None:
     assert high_metrics.swaps == 0
 
 
+def test_conflict_weight_sums_in_ascending_id_order() -> None:
+    # the conflicts of edge 3 are edges 2, 1, 0 in vertex order; summed by
+    # ascending id they weigh 0.6000000000000001, so a 0.6 edge must not
+    # swap in at alpha 0 (summed in vertex order they would weigh 0.6)
+    hg = Hypergraph.build(3, [((2,), 0.1), ((1,), 0.2), ((0,), 0.3), ((0, 1, 2), 0.6)])
+    state = SwapState.empty(hg, 0.0)
+    for eid in range(3):
+        assert try_swap(state, hg, eid)
+    assert conflict_set(state, hg, 3) == [0, 1, 2]
+    assert not try_swap(state, hg, 3)
+    matching, metrics = run_swapset(hg, [0, 1, 2, 3], 0.0)
+    assert matching.edge_ids == frozenset({0, 1, 2})
+    assert metrics.swaps == 0
+
+
 def test_run_swapset_rejects_bad_inputs() -> None:
     hg = overlap_pair()
     with pytest.raises(InvalidInput):
         run_swapset(hg, [0], 0.5)
     with pytest.raises(InvalidInput):
         run_swapset(hg, [0, 1], -0.5)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput):
+            run_swapset(hg, [0, 1], alpha)
 
 
 def test_state_stays_consistent_after_every_step() -> None:
@@ -188,6 +206,9 @@ def test_swapset_ratio_values() -> None:
         swapset_ratio(-0.3, 2)
     with pytest.raises(InvalidInput):
         swapset_ratio(0.5, 0)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput):
+            swapset_ratio(alpha, 2)
 
 
 def test_optimal_alpha_maximizes_the_ratio() -> None:
@@ -197,3 +218,21 @@ def test_optimal_alpha_maximizes_the_ratio() -> None:
         for _ in range(200):
             alpha = rng.uniform(0.01, 3.0)
             assert swapset_ratio(alpha, d) <= best + 1e-12
+
+
+def test_run_matches_the_try_swap_fold() -> None:
+    instances = random_instances(40, meta_seed=306, n_max=30, m_max=60, d_cap=5)
+    instances += [with_decimal_weights(hg, seed) for seed, hg in enumerate(instances)]
+    for hg in instances:
+        for alpha in (0.0, 0.3, optimal_alpha(max(hg.d, 1))):
+            for order in StreamOrder:
+                stream = order_stream(hg, order, seed=43)
+                state = SwapState.empty(hg, alpha)
+                evicted = 0
+                for eid in stream:
+                    conflicts = conflict_set(state, hg, eid)
+                    if try_swap(state, hg, eid):
+                        evicted += len(conflicts)
+                matching, metrics = run_swapset(hg, stream, alpha)
+                assert matching == Matching.from_edge_ids(hg, state.matched_ids())
+                assert metrics.swaps == evicted
