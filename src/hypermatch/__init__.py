@@ -1,7 +1,6 @@
 """Streaming weighted hypergraph matching, with certificates and baselines."""
 
 from .core import (
-    Hyperedge,
     Hypergraph,
     InvalidInput,
     Matching,
@@ -39,7 +38,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Hyperedge",
     "Hypergraph",
     "InvalidInput",
     "Matching",

@@ -321,6 +321,7 @@ def oracle_record(
     spec: RunSpec, limits: OracleLimits | None = None
 ) -> ResultRecord:
     """Solve an instance exactly and wrap the result in the record schema."""
+    spec.validate()
     hg = load_instance(spec)
     matching = exact_max_weight_matching(hg, limits)
     return ResultRecord.for_spec(

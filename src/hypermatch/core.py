@@ -5,10 +5,9 @@ covers the strictly ascending vertex tuple ``vertices[i]`` and weighs
 ``weights[i]``.  Edge ids are ordinals: edge ``i`` is the ``i``-th edge of
 the input, and that position doubles as the canonical tie-breaker
 everywhere ordering matters.  Every algorithm indexes the two arrays by
-edge id; :class:`Hyperedge` objects exist only as a derived view
-(``Hypergraph.edges``).  Weights are positive 64-bit floats; unit weights
-are the value ``1.0``.  A matching is a set of pairwise vertex-disjoint edge ids together
-with its per-vertex ownership map and a cached total weight.
+edge id.  Weights are positive 64-bit floats; unit weights are the value
+``1.0``.  A matching is a set of pairwise vertex-disjoint edge ids together
+with its cached total weight.
 
 Float totals throughout the package are explicit left-to-right loops, not
 ``sum()``: from Python 3.12 on, ``sum`` of floats is compensated, so
@@ -20,44 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional
 
 
 class InvalidInput(ValueError):
     """An argument violated a documented precondition."""
-
-
-@dataclass(frozen=True)
-class Hyperedge:
-    """A weighted hyperedge.
-
-    Vertices are deduplicated and sorted ascending at construction, so
-    iteration order over ``vertices`` is deterministic.  Size-1 edges are
-    legal.  The weight must be positive and finite.
-    """
-
-    id: int
-    vertices: tuple[int, ...]
-    weight: float
-
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise InvalidInput(f"edge id must be non-negative, got {self.id}")
-        verts = tuple(sorted(set(self.vertices)))
-        if not verts:
-            raise InvalidInput(f"edge {self.id} has no vertices")
-        if verts[0] < 0:
-            raise InvalidInput(f"edge {self.id} has a negative vertex id")
-        w = float(self.weight)
-        if not math.isfinite(w) or w <= 0.0:
-            raise InvalidInput(f"edge {self.id} needs a positive finite weight, got {w}")
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "weight", w)
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -125,18 +91,6 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.weights)
 
-    @cached_property
-    def edges(self) -> tuple[Hyperedge, ...]:
-        """The edges as :class:`Hyperedge` objects, built on first access.
-
-        A read-only view for callers that want one object per edge; the
-        package itself indexes ``vertices`` and ``weights``.
-        """
-        return tuple(
-            Hyperedge(eid, verts, w)
-            for eid, (verts, w) in enumerate(zip(self.vertices, self.weights))
-        )
-
     @classmethod
     def build(cls, n: int, edge_data: Iterable[tuple[Iterable[int], float]]) -> "Hypergraph":
         """Construct from ``(vertices, weight)`` pairs, assigning ordinal ids.
@@ -157,16 +111,14 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of edge ids, its vertex ownership map, and a cached weight.
+    """A set of edge ids and its cached total weight.
 
-    ``owner[v]`` is the id of the selected edge covering vertex ``v``, or
-    ``None``.  Construct through :meth:`from_edge_ids` for a consistent
-    instance; the raw constructor performs no validation so that
+    Construct through :meth:`from_edge_ids` for a consistent instance; the
+    raw constructor performs no validation so that
     :func:`validate_matching` can be exercised on broken values.
     """
 
     edge_ids: frozenset[int]
-    owner: tuple[Optional[int], ...]
     weight: float
 
     @property
@@ -175,7 +127,7 @@ class Matching:
 
     @classmethod
     def from_edge_ids(cls, hg: Hypergraph, edge_ids: Iterable[int]) -> "Matching":
-        """Build a matching from ids, deriving the owner map and weight.
+        """Build a matching from ids, deriving its weight.
 
         Raises InvalidInput if an id is unknown or two edges share a vertex.
         """
@@ -192,7 +144,7 @@ class Matching:
                     )
                 owner[v] = eid
             total += hg.weights[eid]
-        return cls(frozenset(ids), tuple(owner), total)
+        return cls(frozenset(ids), total)
 
 
 def first_fit(hg: Hypergraph, stream: Iterable[int]) -> list[int]:
@@ -232,6 +184,12 @@ def check_stream(hg: Hypergraph, stream: Iterable[int]) -> None:
     except TypeError:
         # a float, None or string entry fails the comparison or the index
         raise InvalidInput(f"stream entries must be integer edge ids, got {eid!r}") from None
+    # bool is a subclass of int, so True and False pass the loop as ids 1
+    # and 0; in a permutation only the entries equal to 0 and 1 can be bools
+    for eid in range(min(m, 2)):
+        entry = stream[stream.index(eid)]
+        if type(entry) is bool:
+            raise InvalidInput(f"stream entries must be integer edge ids, got {entry!r}")
 
 
 def matching_weight(hg: Hypergraph, edge_ids: Iterable[int]) -> float:
@@ -251,28 +209,19 @@ def matching_weight(hg: Hypergraph, edge_ids: Iterable[int]) -> float:
 def validate_matching(hg: Hypergraph, matching: Matching) -> bool:
     """Check that a matching is internally consistent for ``hg``.
 
-    True iff the selected edges are pairwise vertex-disjoint, ``owner`` is
-    exactly the incidence map of ``edge_ids``, and the cached weight agrees
-    with recomputation within relative tolerance 1e-12.  Unknown edge ids
-    raise InvalidInput rather than returning False.
+    True iff the selected edges are pairwise vertex-disjoint and the cached
+    weight agrees with recomputation within relative tolerance 1e-12.
+    Unknown edge ids raise InvalidInput rather than returning False.
     """
     for eid in matching.edge_ids:
         if not 0 <= eid < hg.m:
             raise InvalidInput(f"unknown edge id {eid}")
-    if len(matching.owner) != hg.n:
-        return False
-    counts = [0] * hg.n
+    covered = [False] * hg.n
     for eid in matching.edge_ids:
         for v in hg.vertices[eid]:
-            counts[v] += 1
-    if any(c > 1 for c in counts):
-        return False
-    expected: list[Optional[int]] = [None] * hg.n
-    for eid in matching.edge_ids:
-        for v in hg.vertices[eid]:
-            expected[v] = eid
-    if tuple(expected) != matching.owner:
-        return False
+            if covered[v]:
+                return False
+            covered[v] = True
     recomputed = matching_weight(hg, matching.edge_ids)
     tol = 1e-12 * max(abs(recomputed), abs(matching.weight))
     return abs(recomputed - matching.weight) <= tol

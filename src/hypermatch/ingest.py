@@ -18,7 +18,6 @@ import enum
 import math
 import operator
 import random
-from typing import IO, Union
 
 from .core import Hypergraph, InvalidInput
 
@@ -48,10 +47,10 @@ class StreamOrder(enum.Enum):
     RANDOM = "random"
 
 
-def parse_hmetis(source: Union[str, bytes, IO]) -> Hypergraph:
+def parse_hmetis(source: str | bytes) -> Hypergraph:
     """Parse hMetis-style text into a Hypergraph.
 
-    Accepts a string, bytes (decoded as UTF-8), or a readable file object.
+    Accepts a string or bytes (decoded as UTF-8).
     Comment lines ('%') and blank lines are skipped.  Raises ParseError
     (with the offending line number) on undecodable bytes, non-numeric
     tokens, vertex ids outside ``1..n``, a vertex id repeated on one edge,
@@ -59,8 +58,6 @@ def parse_hmetis(source: Union[str, bytes, IO]) -> Hypergraph:
     and finite.  An edge-count mismatch is reported before any error on an
     edge line.
     """
-    if hasattr(source, "read"):
-        source = source.read()
     if isinstance(source, bytes):
         try:
             text = source.decode("utf-8")
@@ -170,20 +167,19 @@ def _vertex_problem(tokens: list[str], n: int) -> str:
     return f"vertex id {repeated} repeated on one edge"
 
 
-def serialize_hmetis(hg: Hypergraph, include_weights: bool | None = None) -> str:
+def serialize_hmetis(hg: Hypergraph) -> str:
     """Render a Hypergraph back to hMetis text (1-based vertices).
 
-    Weights are written (fmt 1) when any weight differs from 1.0, or always
-    when ``include_weights`` is True.  Integral weights are written without
-    a decimal point so unit-weight files round-trip byte-for-byte.
+    Weights are written (fmt 1) when any weight differs from 1.0.  Integral
+    weights are written without a decimal point so unit-weight files
+    round-trip byte-for-byte.
     """
-    if include_weights is None:
-        include_weights = any(w != 1.0 for w in hg.weights)
-    header = f"{hg.m} {hg.n} 1" if include_weights else f"{hg.m} {hg.n}"
+    weighted = any(w != 1.0 for w in hg.weights)
+    header = f"{hg.m} {hg.n} 1" if weighted else f"{hg.m} {hg.n}"
     lines = [header]
     for verts, w in zip(hg.vertices, hg.weights):
         parts = []
-        if include_weights:
+        if weighted:
             parts.append(_format_weight(w))
         parts.extend(str(v + 1) for v in verts)
         lines.append(" ".join(parts))

@@ -132,10 +132,13 @@ def exhaustive_max_weight_matching(hg: Hypergraph, max_edges: int = 20) -> Match
 
 def is_maximal(hg: Hypergraph, matching: Matching) -> bool:
     """Whether no unselected edge could be added without a conflict."""
-    for eid, verts in enumerate(hg.vertices):
-        if eid in matching.edge_ids:
-            continue
-        if all(matching.owner[v] is None for v in verts):
+    covered = [False] * hg.n
+    for eid in matching.edge_ids:
+        for v in hg.vertices[eid]:
+            covered[v] = True
+    # a selected edge covers its own vertices, so only free edges pass
+    for verts in hg.vertices:
+        if not any(covered[v] for v in verts):
             return False
     return True
 

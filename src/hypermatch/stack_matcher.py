@@ -16,8 +16,9 @@ across the endpoints (``(W(e) - sum) / |e|``), admitting more edges at the
 price of that certificate.
 
 :func:`run_stack_stream` does each edge's work inline, on the flat arrays
-held in local variables.  :func:`edge_dual_sum`, :func:`admit` and
-:func:`apply_update` are the per-edge reference for that loop body: folded
+held in local variables, and sums an edge's potentials once.
+:func:`admit` and :func:`apply_update` are the per-edge reference for that
+loop body; each takes the sum from :func:`edge_dual_sum` itself.  Folded
 over a stream they perform the same float operations in the same order, so
 they give bit-identical potentials.  ``epsilon`` must be finite and
 non-negative.
@@ -65,26 +66,20 @@ def edge_dual_sum(dual: DualState, hg: Hypergraph, eid: int) -> float:
     return total
 
 
-def admit(dual: DualState, hg: Hypergraph, eid: int, covered: float) -> bool:
-    """Whether edge ``eid`` clears the admission threshold; equality admits.
-
-    ``covered`` is the edge's :func:`edge_dual_sum` in the current state.
-    """
-    return hg.weights[eid] >= (1.0 + dual.epsilon) * covered
+def admit(dual: DualState, hg: Hypergraph, eid: int) -> bool:
+    """Whether edge ``eid`` clears the admission threshold; equality admits."""
+    return hg.weights[eid] >= (1.0 + dual.epsilon) * edge_dual_sum(dual, hg, eid)
 
 
-def apply_update(
-    dual: DualState, hg: Hypergraph, eid: int, rule: UpdateRule, covered: float
-) -> None:
+def apply_update(dual: DualState, hg: Hypergraph, eid: int, rule: UpdateRule) -> None:
     """Raise the potentials of edge ``eid``'s vertices after it is admitted.
 
-    ``covered`` is the same :func:`edge_dual_sum` that :func:`admit` saw,
-    so a stack step sums the potentials once.  GUARANTEE adds the full
-    surplus to every endpoint; LENIENT divides it by the edge size.
-    Admitted edges have non-negative surplus, so potentials never decrease.
+    GUARANTEE adds the full surplus ``W(e) - edge_dual_sum(e)`` to every
+    endpoint; LENIENT divides it by the edge size.  Admitted edges have
+    non-negative surplus, so potentials never decrease.
     """
     verts = hg.vertices[eid]
-    surplus = hg.weights[eid] - covered
+    surplus = hg.weights[eid] - edge_dual_sum(dual, hg, eid)
     if rule is UpdateRule.LENIENT:
         surplus /= len(verts)
     potentials = dual.potentials

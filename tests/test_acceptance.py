@@ -176,7 +176,7 @@ def test_criterion_4_swapset_descending_equals_greedy(corpus) -> None:
             else:
                 # alpha 0 (rank-1 instances): equal-weight swaps may pick a
                 # different edge among ties, so compare weights then
-                weights = [e.weight for e in hg.edges]
+                weights = list(hg.weights)
                 if len(set(weights)) < len(weights):
                     if swap.weight != greedy.weight:
                         violations += 1
@@ -225,8 +225,8 @@ def test_criterion_6_push_bound(corpus) -> None:
     for index, (hg, _) in enumerate(corpus):
         if hg.m == 0:
             continue
-        w_max = max(e.weight for e in hg.edges)
-        w_min = min(e.weight for e in hg.edges)
+        w_max = max(hg.weights)
+        w_min = min(hg.weights)
         for epsilon in (0.1, 1.0):
             bound = 2 + math.floor(
                 math.log(w_max / w_min) / math.log(1.0 + epsilon) + 1e-12

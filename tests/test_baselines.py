@@ -39,6 +39,9 @@ def test_naive_rejects_bad_stream() -> None:
     hg = adversarial_pair()
     with pytest.raises(InvalidInput):
         run_naive(hg, [0])
+    for stream in ([True, False], [False, 1]):
+        with pytest.raises(InvalidInput):
+            run_naive(hg, stream)
 
 
 def test_greedy_picks_by_weight() -> None:

@@ -10,7 +10,7 @@ import pytest
 
 from hypermatch import cli
 from hypermatch.cli import CSV_COLUMNS, main
-from hypermatch.core import Hyperedge
+from hypermatch.core import InvalidInput
 from hypermatch.ingest import StreamOrder, WeightScheme, gen_random_hypergraph, serialize_hmetis
 from hypermatch.swap_matcher import optimal_alpha
 
@@ -139,7 +139,7 @@ def test_emit_matching_weight_recomputes(capsys) -> None:
     record = json.loads(out)[0]
     hg = gen_random_hypergraph(9, 12, 3, 100, seed=7)
     ids = [int(tok) for tok in record["matching_edges"].split()] if record["matching_edges"] else []
-    assert sum(hg.edges[i].weight for i in ids) == record["matching_weight"]
+    assert sum(hg.weights[i] for i in ids) == record["matching_weight"]
 
 
 def test_run_records_are_deterministic_except_runtime(capsys) -> None:
@@ -240,23 +240,6 @@ def test_grid_records_match_golden_digest(tmp_path, monkeypatch) -> None:
     assert digest.hexdigest() == GOLDEN_GRID_SHA256
 
 
-def test_grid_builds_no_hyperedge_objects(tmp_path, monkeypatch) -> None:
-    def refuse(edge):
-        raise AssertionError(f"Hyperedge built for edge {edge.id}")
-
-    path = tmp_path / "small.hgr"
-    path.write_text(serialize_hmetis(gen_random_hypergraph(12, 18, 4, 100, seed=3)))
-    out = tmp_path / "records.csv"
-    monkeypatch.setattr(Hyperedge, "__post_init__", refuse)
-    argv = ["grid", "--input", str(path), "--gen", "12,18,4,100", "--order", "random",
-            "--certify", "--emit-matching", "--output", str(out)]
-    argv += [arg for a in cli.ALGORITHMS for arg in ("--algorithm", a)]
-    assert main(argv) == 0
-    rows = csv_rows(out.read_text())
-    assert len(rows) == 2 * len(cli.ALGORITHMS)
-    assert all(row["error"] == "" and row["oracle_weight"] != "" for row in rows)
-
-
 def test_grid_propagates_programming_errors(monkeypatch) -> None:
     def broken(hg, stream):
         raise RuntimeError("kernel bug")
@@ -327,6 +310,14 @@ def test_oracle_subcommand(tmp_path, capsys) -> None:
     assert row["algorithm"] == "oracle"
     assert row["oracle_weight"] == "3.0"
     assert row["matching_edges"] == "1"
+
+
+def test_oracle_record_validates_its_spec(tmp_path) -> None:
+    path = tmp_path / "two.hgr"
+    path.write_text(TWO_EDGE_FILE)
+    for spec in (cli.RunSpec(), cli.RunSpec(input_path=str(path), gen=(3, 2, 2, 10))):
+        with pytest.raises(InvalidInput, match="exactly one of input_path and gen"):
+            cli.oracle_record(spec)
 
 
 def test_oracle_refuses_large_instances_with_exit_3(capsys) -> None:

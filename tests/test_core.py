@@ -6,7 +6,6 @@ import random
 import pytest
 
 from hypermatch.core import (
-    Hyperedge,
     Hypergraph,
     InvalidInput,
     Matching,
@@ -17,45 +16,17 @@ from hypermatch.core import (
 )
 
 
-def test_hyperedge_normalizes_vertices() -> None:
-    edge = Hyperedge(0, (3, 1, 3, 2), 2.0)
-    assert edge.vertices == (1, 2, 3)
-    assert edge.size == 3
-    assert edge.weight == 2.0
-
-
-def test_hyperedge_single_vertex_is_legal() -> None:
-    edge = Hyperedge(5, (7,), 1.0)
-    assert edge.size == 1
-
-
-@pytest.mark.parametrize(
-    "vertices,weight",
-    [
-        ((), 1.0),
-        ((0,), 0.0),
-        ((0,), -2.0),
-        ((0,), math.inf),
-        ((0,), math.nan),
-        ((-1, 2), 1.0),
-    ],
-)
-def test_hyperedge_rejects_bad_values(vertices, weight) -> None:
-    with pytest.raises(InvalidInput):
-        Hyperedge(0, vertices, weight)
-
-
-def test_hyperedge_rejects_negative_id() -> None:
-    with pytest.raises(InvalidInput):
-        Hyperedge(-1, (0,), 1.0)
-
-
 def test_hypergraph_derived_fields() -> None:
     hg = Hypergraph.build(4, [((0, 1), 1.0), ((1, 2, 3), 2.0)])
     assert hg.m == 2
     assert hg.d == 3
     assert hg.total_pins == 5
-    assert [e.id for e in hg.edges] == [0, 1]
+    assert hg.vertices == ((0, 1), (1, 2, 3))
+    assert hg.weights == (1.0, 2.0)
+
+
+def test_hypergraph_build_sorts_and_deduplicates() -> None:
+    assert Hypergraph.build(4, [((3, 1, 3, 2), 2.0)]).vertices == ((1, 2, 3),)
 
 
 def test_hypergraph_empty() -> None:
@@ -106,8 +77,8 @@ def test_hypergraph_rejects_overflowing_total_weight() -> None:
 def test_with_weights_replaces_weights() -> None:
     hg = Hypergraph.build(3, [((0, 1), 1.0), ((1, 2), 2.0)])
     hg2 = hg.with_weights([5.0, 7.0])
-    assert [e.weight for e in hg2.edges] == [5.0, 7.0]
-    assert [e.vertices for e in hg2.edges] == [(0, 1), (1, 2)]
+    assert list(hg2.weights) == [5.0, 7.0]
+    assert list(hg2.vertices) == [(0, 1), (1, 2)]
     with pytest.raises(InvalidInput):
         hg.with_weights([1.0])
 
@@ -116,7 +87,6 @@ def test_matching_from_edge_ids() -> None:
     hg = Hypergraph.build(4, [((0, 1), 3.0), ((2, 3), 3.0), ((1, 2), 5.0)])
     m = Matching.from_edge_ids(hg, [0, 1])
     assert m.edge_ids == frozenset({0, 1})
-    assert m.owner == (0, 0, 1, 1)
     assert m.weight == 6.0
     assert m.cardinality == 2
 
@@ -137,32 +107,26 @@ def test_validate_matching_accepts_consistent() -> None:
 
 def test_validate_matching_rejects_overlap() -> None:
     hg = Hypergraph.build(3, [((0, 1), 1.0), ((1, 2), 3.0)])
-    broken = Matching(frozenset({0, 1}), (0, 0, 1), 4.0)
+    broken = Matching(frozenset({0, 1}), 4.0)
     assert not validate_matching(hg, broken)
 
 
 def test_validate_matching_rejects_stale_weight_cache() -> None:
     hg = Hypergraph.build(3, [((0, 1), 1.0), ((1, 2), 3.0)])
-    stale = Matching(frozenset({1}), (None, 1, 1), 4.0)
+    stale = Matching(frozenset({1}), 4.0)
     assert not validate_matching(hg, stale)
-
-
-def test_validate_matching_rejects_wrong_owner_map() -> None:
-    hg = Hypergraph.build(3, [((0, 1), 1.0), ((1, 2), 3.0)])
-    wrong = Matching(frozenset({1}), (1, 1, None), 3.0)
-    assert not validate_matching(hg, wrong)
 
 
 def test_validate_matching_unknown_id_raises() -> None:
     hg = Hypergraph.build(3, [((0, 1), 1.0)])
     with pytest.raises(InvalidInput):
-        validate_matching(hg, Matching(frozenset({9}), (None, None, None), 1.0))
+        validate_matching(hg, Matching(frozenset({9}), 1.0))
 
 
 def test_validate_matching_weight_tolerance_is_relative() -> None:
     hg = Hypergraph.build(3, [((0, 1), 1e9), ((1, 2), 3.0)])
     m = Matching.from_edge_ids(hg, [0])
-    nudged = Matching(m.edge_ids, m.owner, m.weight * (1 + 1e-13))
+    nudged = Matching(m.edge_ids, m.weight * (1 + 1e-13))
     assert validate_matching(hg, nudged)
 
 
@@ -196,6 +160,9 @@ def test_check_stream() -> None:
         check_stream(hg, [0, 1, 1])
     with pytest.raises(InvalidInput):
         check_stream(hg, [0, 1, 3])
+    for stream in ([2, False, 1], [2, 0, True], [True, False, 2]):
+        with pytest.raises(InvalidInput, match="integer edge ids"):
+            check_stream(hg, stream)
 
 
 def test_run_metrics_defaults() -> None:

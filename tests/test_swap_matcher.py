@@ -140,9 +140,9 @@ def test_state_stays_consistent_after_every_step() -> None:
             assert len(live) <= hg.n
             for v, eid in enumerate(state.best):
                 if eid is not None:
-                    assert v in hg.edges[eid].vertices
+                    assert v in hg.vertices[eid]
             for eid in live:
-                for v in hg.edges[eid].vertices:
+                for v in hg.vertices[eid]:
                     assert state.best[v] == eid
             Matching.from_edge_ids(hg, live)  # raises if not disjoint
 
