@@ -10,14 +10,15 @@ and sorting the whole instance.
 from __future__ import annotations
 
 import time
+from typing import Iterable
 
 from .core import Hypergraph, Matching, RunMetrics, check_stream, first_fit
 from .ingest import StreamOrder, order_stream
 
 
-def run_naive(hg: Hypergraph, stream: list[int]) -> tuple[Matching, RunMetrics]:
-    """First-fit matching over ``stream`` (a permutation of the edge ids)."""
-    check_stream(hg, stream)
+def run_naive(hg: Hypergraph, stream: Iterable[int]) -> tuple[Matching, RunMetrics]:
+    """First-fit over ``stream``, any iterable of a permutation of the edge ids, read once."""
+    stream = check_stream(hg, stream)
     metrics = RunMetrics()
     start = time.perf_counter_ns()
     chosen = first_fit(hg, stream)

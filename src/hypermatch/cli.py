@@ -178,18 +178,19 @@ class _LoadedInstance:
     hg: Hypergraph
     streams: dict = field(default_factory=dict)
 
-    def stream(self, order: StreamOrder, seed: int) -> list[int]:
-        """The edge ids in ``order``, as a new list on every call.
+    def stream(self, order: StreamOrder, seed: int) -> array:
+        """The edge ids in ``order``, as the cached array.
 
         Each distinct stream is ordered once and kept as a compact array,
-        8 bytes per edge.  Only the random order reads the seed, so the
-        other orders are kept once whatever the seed.
+        8 bytes per edge; a run reads it into the one list it iterates.
+        Only the random order reads the seed, so the other orders are kept
+        once whatever the seed.
         """
         key = (order, seed) if order is StreamOrder.RANDOM else order
         ids = self.streams.get(key)
         if ids is None:
             ids = self.streams[key] = array("q", order_stream(self.hg, order, seed))
-        return ids.tolist()
+        return ids
 
     @cached_property
     def oracle_weight(self) -> Optional[float]:
@@ -454,26 +455,25 @@ def _single_spec(args, **knobs) -> RunSpec:
     )
 
 
-def _command_run(args, out: TextIO) -> int:
-    spec = _single_spec(
-        args,
-        algorithm=args.algorithm,
-        epsilon=args.epsilon,
-        alpha=args.alpha,
-        order=StreamOrder(args.order),
-        certify=args.certify,
-        emit_matching=args.emit_matching,
-    )
-    emit([run(spec)], args.format, out)
-    return 0
-
-
-def _command_grid(args, out: TextIO) -> int:
-    sources: list[tuple[Optional[str], Optional[tuple[int, int, int, int]]]] = []
-    for path in args.input or []:
-        sources.append((path, None))
-    for gen_text in args.gen or []:
-        sources.append((None, _parse_gen(gen_text)))
+def _records(args) -> Iterable[ResultRecord]:
+    """The subcommand's records: computed for ``run`` and ``oracle``, so
+    they fail before any output is opened; lazy for ``grid``, so rows stream."""
+    if args.command == "run":
+        spec = _single_spec(
+            args,
+            algorithm=args.algorithm,
+            epsilon=args.epsilon,
+            alpha=args.alpha,
+            order=StreamOrder(args.order),
+            certify=args.certify,
+            emit_matching=args.emit_matching,
+        )
+        return [run(spec)]
+    if args.command == "oracle":
+        limits = OracleLimits(max_edges=args.max_edges)
+        return [oracle_record(_single_spec(args), limits)]
+    sources = [(path, None) for path in args.input or []]
+    sources += [(None, _parse_gen(text)) for text in args.gen or []]
     if not sources:
         raise InvalidInput("grid needs at least one --input or --gen")
     if args.repeats < 1:
@@ -490,27 +490,19 @@ def _command_grid(args, out: TextIO) -> int:
         certify=args.certify,
         emit_matching=args.emit_matching,
     )
-    failed = emit(grid(specs), args.format, out)
-    if failed:
-        _print_error("cell_errors", f"{failed} grid cell(s) failed; see the error column")
-        return 2
-    return 0
-
-
-def _command_oracle(args, out: TextIO) -> int:
-    limits = OracleLimits(max_edges=args.max_edges)
-    emit([oracle_record(_single_spec(args), limits)], args.format, out)
-    return 0
+    return grid(specs)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.output is not None:
+        records = _records(args)
+        if args.output is None:
+            failed = emit(records, args.format, sys.stdout)
+        else:
             with open(args.output, "w", newline="") as out:
-                return _dispatch(args, out)
-        return _dispatch(args, sys.stdout)
+                failed = emit(records, args.format, out)
     except TooLarge as exc:
         _print_error("too_large", exc)
         return 3
@@ -520,14 +512,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InvalidInput, OSError) as exc:
         _print_error("invalid_input", exc)
         return 2
-
-
-def _dispatch(args, out: TextIO) -> int:
-    if args.command == "run":
-        return _command_run(args, out)
-    if args.command == "grid":
-        return _command_grid(args, out)
-    return _command_oracle(args, out)
+    if failed:
+        _print_error("cell_errors", f"{failed} grid cell(s) failed; see the error column")
+        return 2
+    return 0
 
 
 def _print_error(kind: str, exc: Union[Exception, str]) -> None:

@@ -169,8 +169,9 @@ def first_fit(hg: Hypergraph, stream: Iterable[int]) -> list[int]:
     return chosen
 
 
-def check_stream(hg: Hypergraph, stream: Iterable[int]) -> None:
-    """Raise InvalidInput unless ``stream`` is a permutation of the edge ids."""
+def check_stream(hg: Hypergraph, stream: Iterable[int]) -> list[int]:
+    """Read ``stream`` once into a new list and return it, raising
+    InvalidInput unless it is a permutation of the edge ids."""
     stream = list(stream)
     if len(stream) != hg.m:
         raise InvalidInput(f"stream has {len(stream)} entries for {hg.m} edges")
@@ -190,6 +191,7 @@ def check_stream(hg: Hypergraph, stream: Iterable[int]) -> None:
         entry = stream[stream.index(eid)]
         if type(entry) is bool:
             raise InvalidInput(f"stream entries must be integer edge ids, got {entry!r}")
+    return stream
 
 
 def matching_weight(hg: Hypergraph, edge_ids: Iterable[int]) -> float:

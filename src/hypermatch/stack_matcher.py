@@ -16,12 +16,10 @@ across the endpoints (``(W(e) - sum) / |e|``), admitting more edges at the
 price of that certificate.
 
 :func:`run_stack_stream` does each edge's work inline, on the flat arrays
-held in local variables, and sums an edge's potentials once.
-:func:`admit` and :func:`apply_update` are the per-edge reference for that
-loop body; each takes the sum from :func:`edge_dual_sum` itself.  Folded
-over a stream they perform the same float operations in the same order, so
-they give bit-identical potentials.  ``epsilon`` must be finite and
-non-negative.
+held in local variables.  :func:`admit` is the per-edge reference for that
+loop body: it performs the same float operations in the same order, so
+folded over a stream it gives bit-identical potentials.  ``epsilon`` must
+be finite and non-negative.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import Hypergraph, InvalidInput, Matching, RunMetrics, check_stream, first_fit
 
@@ -53,53 +52,45 @@ class DualState:
         return cls([0.0] * n, epsilon)
 
 
-def edge_dual_sum(dual: DualState, hg: Hypergraph, eid: int) -> float:
-    """Sum of the potentials of edge ``eid``'s vertices.
+def admit(dual: DualState, hg: Hypergraph, eid: int, rule: UpdateRule) -> bool:
+    """Apply the admission rule to edge ``eid``; return whether it is admitted.
 
-    Always accumulated left to right over the sorted vertex tuple, so the
-    floating-point result is reproducible.
-    """
-    potentials = dual.potentials
-    total = 0.0
-    for v in hg.vertices[eid]:
-        total += potentials[v]
-    return total
-
-
-def admit(dual: DualState, hg: Hypergraph, eid: int) -> bool:
-    """Whether edge ``eid`` clears the admission threshold; equality admits."""
-    return hg.weights[eid] >= (1.0 + dual.epsilon) * edge_dual_sum(dual, hg, eid)
-
-
-def apply_update(dual: DualState, hg: Hypergraph, eid: int, rule: UpdateRule) -> None:
-    """Raise the potentials of edge ``eid``'s vertices after it is admitted.
-
-    GUARANTEE adds the full surplus ``W(e) - edge_dual_sum(e)`` to every
-    endpoint; LENIENT divides it by the edge size.  Admitted edges have
-    non-negative surplus, so potentials never decrease.
+    Sums the potentials of the edge's vertices left to right over its sorted
+    vertex tuple and admits the edge when ``W(e) >= (1 + epsilon) * sum``;
+    equality admits.  An admitted edge adds the surplus ``W(e) - sum`` to
+    every vertex under GUARANTEE, or the surplus over the edge size under
+    LENIENT, so potentials never decrease.
     """
     verts = hg.vertices[eid]
-    surplus = hg.weights[eid] - edge_dual_sum(dual, hg, eid)
+    potentials = dual.potentials
+    covered = 0.0
+    for v in verts:
+        covered += potentials[v]
+    w = hg.weights[eid]
+    if not w >= (1.0 + dual.epsilon) * covered:
+        return False
+    surplus = w - covered
     if rule is UpdateRule.LENIENT:
         surplus /= len(verts)
-    potentials = dual.potentials
     for v in verts:
         potentials[v] += surplus
+    return True
 
 
 def run_stack_stream(
     hg: Hypergraph,
-    stream: list[int],
+    stream: Iterable[int],
     epsilon: float,
     rule: UpdateRule = UpdateRule.GUARANTEE,
 ) -> tuple[Matching, DualState, RunMetrics]:
     """Run the stack matcher over ``stream`` and unwind to a matching.
 
-    ``stream`` must be a permutation of the edge ids.  Returns the matching,
-    the final dual state, and the run counters (pushes, pops, stack peaks,
-    the maximum number of pushes touching any one vertex, and runtime).
+    ``stream`` may be any iterable that yields a permutation of the edge
+    ids; it is read once.  Returns the matching, the final dual state, and
+    the run counters (pushes, pops, stack peaks, the maximum number of
+    pushes touching any one vertex, and runtime).
     """
-    check_stream(hg, stream)
+    stream = check_stream(hg, stream)
     dual = DualState.zeros(hg.n, epsilon)
     potentials = dual.potentials
     stack: list[int] = []
@@ -111,7 +102,7 @@ def run_stack_stream(
     lenient = rule is UpdateRule.LENIENT
 
     start = time.perf_counter_ns()
-    # edge_dual_sum, admit and apply_update, inlined
+    # admit, inlined
     for eid in stream:
         verts = vertices[eid]
         covered = 0.0
@@ -145,8 +136,9 @@ def run_stack_stream(
 def dual_feasible(hg: Hypergraph, dual: DualState) -> bool:
     """Whether the scaled potentials cover every edge's weight.
 
-    Checks ``(1 + epsilon) * edge_dual_sum(e) >= W(e)`` for every edge,
-    with a relative slack of ``1e-9 * W(e)`` for floating-point noise.
+    Checks ``(1 + epsilon) * sum(e) >= W(e)`` for every edge, where
+    ``sum(e)`` is the potential sum over ``e``'s vertices, with a relative
+    slack of ``1e-9 * W(e)`` for floating-point noise.
     A run with the GUARANTEE rule always ends in a feasible state.
     """
     scale = 1.0 + dual.epsilon

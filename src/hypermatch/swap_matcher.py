@@ -12,9 +12,8 @@ gives the ratio-maximising choice.  With ``alpha = 0`` equal-weight swaps
 fire and no ratio is guaranteed.  ``alpha`` must be finite.
 
 :func:`run_swapset` does each edge's work inline, on the flat arrays held
-in local variables; :func:`conflict_set` and :func:`try_swap` are the
-per-edge reference for that loop body, and folding :func:`try_swap` over a
-stream gives the same matching.
+in local variables; :func:`try_swap` is the per-edge reference for that
+loop body, and folding it over a stream gives the same matching.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import Hypergraph, InvalidInput, Matching, RunMetrics, check_stream
 
@@ -45,48 +44,41 @@ class SwapState:
         return sorted({eid for eid in self.best if eid is not None})
 
 
-def conflict_set(state: SwapState, hg: Hypergraph, eid: int) -> list[int]:
-    """Ids of the distinct matched edges sharing a vertex with edge ``eid``.
-
-    Deduplicated and sorted ascending, so the caller's iteration order and
-    any weight accumulation over the set are deterministic.
-    """
-    best = state.best
-    return sorted({best[v] for v in hg.vertices[eid] if best[v] is not None})
-
-
-def try_swap(state: SwapState, hg: Hypergraph, eid: int) -> bool:
+def try_swap(state: SwapState, hg: Hypergraph, eid: int) -> Optional[list[int]]:
     """Swap edge ``eid`` in if it outweighs its conflicts by ``1 + alpha``.
 
-    Fires when ``W(e) >= (1 + alpha) * W(conflicts)``, so an edge touching
-    only free vertices always enters.  On a swap the conflicting edges are
-    cleared in ascending id order before the new edge claims its vertices.
-    Returns whether the swap fired.
+    The conflicts are the distinct matched edges sharing a vertex with the
+    edge, taken in ascending id order and their weights summed in that
+    order.  The swap fires when ``W(e) >= (1 + alpha) * W(conflicts)``, so
+    an edge touching only free vertices always enters: the conflicting
+    edges are cleared before the new edge claims its vertices.  Returns the
+    evicted ids, ascending, when the swap fires and None when it holds.
     """
     vertices, weights, best = hg.vertices, hg.weights, state.best
-    conflicts = conflict_set(state, hg, eid)
+    conflicts = sorted({best[v] for v in vertices[eid] if best[v] is not None})
     conflict_weight = 0.0
     for other in conflicts:
         conflict_weight += weights[other]
     if weights[eid] < (1.0 + state.alpha) * conflict_weight:
-        return False
+        return None
     for other in conflicts:
         for v in vertices[other]:
             best[v] = None
     for v in vertices[eid]:
         best[v] = eid
-    return True
+    return conflicts
 
 
 def run_swapset(
-    hg: Hypergraph, stream: list[int], alpha: float
+    hg: Hypergraph, stream: Iterable[int], alpha: float
 ) -> tuple[Matching, RunMetrics]:
     """Run the swap matcher over ``stream``.
 
-    ``stream`` must be a permutation of the edge ids and ``alpha``
-    non-negative and finite.  ``metrics.swaps`` counts evicted edges.
+    ``stream`` may be any iterable that yields a permutation of the edge
+    ids; it is read once.  ``alpha`` must be non-negative and finite.
+    ``metrics.swaps`` counts evicted edges.
     """
-    check_stream(hg, stream)
+    stream = check_stream(hg, stream)
     state = SwapState.empty(hg, alpha)
     best = state.best
     vertices, weights = hg.vertices, hg.weights

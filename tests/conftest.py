@@ -8,6 +8,7 @@ frozen test surface: changing it changes which instances are covered.
 from __future__ import annotations
 
 import random
+from array import array
 
 from hypermatch import Hypergraph, gen_random_hypergraph
 
@@ -41,3 +42,8 @@ def with_decimal_weights(hg: Hypergraph, seed: int) -> Hypergraph:
     rng = random.Random(seed)
     weights = [round(rng.uniform(0.1, 10.0), rng.randint(1, 3)) for _ in range(hg.m)]
     return Hypergraph(hg.n, hg.vertices, weights)
+
+
+def stream_forms(stream: list[int]) -> list:
+    """``stream`` as an iterator, a generator, a tuple and an ``array('q')``."""
+    return [iter(stream), (eid for eid in stream), tuple(stream), array("q", stream)]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from hypermatch.core import Hypergraph, InvalidInput, validate_matching
@@ -7,7 +9,7 @@ from hypermatch.ingest import StreamOrder, order_stream
 from hypermatch.baselines import run_greedy, run_naive
 from hypermatch.oracle import exact_max_weight_matching, is_maximal
 
-from conftest import random_instances
+from conftest import random_instances, stream_forms
 
 
 def adversarial_pair() -> Hypergraph:
@@ -83,3 +85,15 @@ def test_greedy_stays_within_rank_factor_of_optimum() -> None:
         opt = exact_max_weight_matching(hg).weight
         greedy, _ = run_greedy(hg)
         assert greedy.weight >= opt / hg.d - 1e-9
+
+
+def test_naive_reads_any_iterable_stream_once() -> None:
+    for hg in random_instances(30, meta_seed=104):
+        stream = order_stream(hg, StreamOrder.RANDOM, seed=5)
+        matching, metrics = run_naive(hg, stream)
+        for form in stream_forms(stream):
+            form_matching, form_metrics = run_naive(hg, form)
+            assert form_matching == matching
+            assert dataclasses.replace(form_metrics, runtime_ns=0) == dataclasses.replace(
+                metrics, runtime_ns=0
+            )

@@ -423,6 +423,23 @@ def test_output_file_option(tmp_path, capsys) -> None:
     assert rows[0]["algorithm"] == "naive"
 
 
+def test_failed_command_leaves_existing_output_intact(tmp_path, capsys) -> None:
+    target = tmp_path / "records.csv"
+    target.write_text("keep")
+    code, _, err = run_cli(
+        ["run", "--input", str(tmp_path / "missing.hgr"), "--algorithm", "naive",
+         "--output", str(target)],
+        capsys,
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "invalid_input"
+    assert target.read_text() == "keep"
+    code, _, err = run_cli(["oracle", "--gen", "30,40,3,10", "--output", str(target)], capsys)
+    assert code == 3
+    assert json.loads(err)["error"] == "too_large"
+    assert target.read_text() == "keep"
+
+
 def test_alpha_zero_is_accepted_by_cli(capsys) -> None:
     code, out, _ = run_cli(
         ["run", "--gen", "6,8,3,10", "--algorithm", "swapset", "--alpha", "0",

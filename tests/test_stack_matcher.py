@@ -12,62 +12,47 @@ from hypermatch.stack_matcher import (
     DualState,
     UpdateRule,
     admit,
-    apply_update,
     dual_feasible,
     dual_upper_bound,
-    edge_dual_sum,
     run_stack_stream,
 )
 
-from conftest import random_instances, with_decimal_weights
+from conftest import random_instances, stream_forms, with_decimal_weights
 
 
 def two_edge_path() -> Hypergraph:
     return Hypergraph.build(3, [((0, 1), 1.0), ((1, 2), 3.0)])
 
 
-def test_edge_dual_sum() -> None:
-    hg = two_edge_path()
-    dual = DualState.zeros(3, 0.0)
-    assert edge_dual_sum(dual, hg, 0) == 0.0
-    dual.potentials = [0.5, 0.5, 0.0]
-    assert edge_dual_sum(dual, hg, 0) == 1.0
-
-
 def test_admit_equality_admits() -> None:
+    # 1.0 >= 1.0 admits, and the zero surplus leaves the potentials as they are
     hg = two_edge_path()
     dual = DualState.zeros(3, 0.0)
     dual.potentials = [0.5, 0.5, 0.0]
-    assert admit(dual, hg, 0)  # 1.0 >= 1.0
+    assert admit(dual, hg, 0, UpdateRule.GUARANTEE)
+    assert dual.potentials == [0.5, 0.5, 0.0]
 
 
 def test_admit_epsilon_scales_threshold() -> None:
     hg = Hypergraph.build(2, [((0, 1), 1.0), ((0, 1), 1.1)])
     dual = DualState.zeros(2, 0.1)
     dual.potentials = [0.5, 0.5]
-    assert not admit(dual, hg, 0)  # 1.0 < 1.1 * 1.0
-    assert admit(dual, hg, 1)  # 1.1 >= 1.1
+    assert not admit(dual, hg, 0, UpdateRule.GUARANTEE)  # 1.0 < 1.1 * 1.0
+    assert dual.potentials == [0.5, 0.5]
+    assert admit(dual, hg, 1, UpdateRule.GUARANTEE)  # 1.1 >= 1.1
 
 
-def test_apply_update_guarantee_adds_full_surplus() -> None:
+def test_admit_guarantee_adds_full_surplus() -> None:
     hg = two_edge_path()
     dual = DualState.zeros(3, 0.0)
-    apply_update(dual, hg, 0, UpdateRule.GUARANTEE)
+    assert admit(dual, hg, 0, UpdateRule.GUARANTEE)
     assert dual.potentials == [1.0, 1.0, 0.0]
 
 
-def test_apply_update_lenient_divides_by_size() -> None:
+def test_admit_lenient_divides_by_size() -> None:
     hg = two_edge_path()
     dual = DualState.zeros(3, 0.0)
-    apply_update(dual, hg, 0, UpdateRule.LENIENT)
-    assert dual.potentials == [0.5, 0.5, 0.0]
-
-
-def test_apply_update_zero_surplus_is_noop() -> None:
-    hg = two_edge_path()
-    dual = DualState.zeros(3, 0.0)
-    dual.potentials = [0.5, 0.5, 0.0]
-    apply_update(dual, hg, 0, UpdateRule.GUARANTEE)
+    assert admit(dual, hg, 0, UpdateRule.LENIENT)
     assert dual.potentials == [0.5, 0.5, 0.0]
 
 
@@ -217,10 +202,9 @@ def test_potentials_never_decrease() -> None:
             dual = DualState.zeros(hg.n, 0.2)
             for eid in range(hg.m):
                 before = dual.potentials[:]
-                if admit(dual, hg, eid):
-                    apply_update(dual, hg, eid, rule)
-                    for old, new in zip(before, dual.potentials):
-                        assert new >= old
+                admit(dual, hg, eid, rule)
+                for old, new in zip(before, dual.potentials):
+                    assert new >= old
 
 
 def test_runs_are_deterministic() -> None:
@@ -237,16 +221,27 @@ def test_runs_are_deterministic() -> None:
             )
 
 
+def test_run_reads_any_iterable_stream_once() -> None:
+    for hg in random_instances(30, meta_seed=208):
+        stream = order_stream(hg, StreamOrder.RANDOM, seed=7)
+        matching, dual, metrics = run_stack_stream(hg, stream, 0.1, UpdateRule.LENIENT)
+        for form in stream_forms(stream):
+            form_matching, form_dual, form_metrics = run_stack_stream(
+                hg, form, 0.1, UpdateRule.LENIENT
+            )
+            assert form_matching == matching
+            assert form_dual.potentials == dual.potentials
+            assert dataclasses.replace(form_metrics, runtime_ns=0) == dataclasses.replace(
+                metrics, runtime_ns=0
+            )
+
+
 def reference_stack_run(
     hg: Hypergraph, stream: list[int], epsilon: float, rule: UpdateRule
 ) -> tuple[DualState, list[int]]:
-    """Fold the per-edge helpers over ``stream``: the final state and the stack."""
+    """Fold :func:`admit` over ``stream``: the final state and the stack."""
     dual = DualState.zeros(hg.n, epsilon)
-    stack = []
-    for eid in stream:
-        if admit(dual, hg, eid):
-            stack.append(eid)
-            apply_update(dual, hg, eid, rule)
+    stack = [eid for eid in stream if admit(dual, hg, eid, rule)]
     return dual, stack
 
 

@@ -10,42 +10,41 @@ from hypermatch.core import Hypergraph, InvalidInput, Matching, validate_matchin
 from hypermatch.ingest import StreamOrder, order_stream
 from hypermatch.swap_matcher import (
     SwapState,
-    conflict_set,
     optimal_alpha,
     run_swapset,
     swapset_ratio,
     try_swap,
 )
 
-from conftest import random_instances, with_decimal_weights
+from conftest import random_instances, stream_forms, with_decimal_weights
 
 
 def overlap_pair() -> Hypergraph:
     return Hypergraph.build(3, [((0, 1), 2.0), ((1, 2), 3.0)])
 
 
-def test_conflict_set_empty_state() -> None:
+def test_try_swap_into_empty_state_evicts_nothing() -> None:
     hg = overlap_pair()
     state = SwapState.empty(hg, 0.5)
-    assert conflict_set(state, hg, 0) == []
+    assert try_swap(state, hg, 0) == []
+    assert state.best == [0, 0, None]
 
 
-def test_conflict_set_dedupes_and_sorts() -> None:
-    hg = Hypergraph.build(
-        6, [((0, 1), 1.0), ((2, 3), 1.0), ((1, 2), 1.0), ((0, 1, 2, 3), 9.0)]
-    )
+def test_try_swap_evictions_are_deduplicated_and_sorted() -> None:
+    # edge 2 meets edge 1 on vertices 0 and 1, then edge 0 on vertices 2 and 3
+    hg = Hypergraph.build(4, [((2, 3), 1.0), ((0, 1), 1.0), ((0, 1, 2, 3), 9.0)])
     state = SwapState.empty(hg, 0.0)
-    assert try_swap(state, hg, 0)
-    assert try_swap(state, hg, 1)
-    assert conflict_set(state, hg, 3) == [0, 1]
-    assert conflict_set(state, hg, 2) == [0, 1]
+    assert try_swap(state, hg, 0) == []
+    assert try_swap(state, hg, 1) == []
+    assert try_swap(state, hg, 2) == [0, 1]
+    assert state.best == [2, 2, 2, 2]
 
 
 def test_try_swap_fires_at_low_alpha() -> None:
     hg = overlap_pair()
     state = SwapState.empty(hg, 0.4)
-    assert try_swap(state, hg, 0)
-    assert try_swap(state, hg, 1)  # 3 >= 1.4 * 2
+    assert try_swap(state, hg, 0) == []
+    assert try_swap(state, hg, 1) == [0]  # 3 >= 1.4 * 2
     assert state.best == [None, 1, 1]
     assert state.matched_ids() == [1]
 
@@ -53,20 +52,20 @@ def test_try_swap_fires_at_low_alpha() -> None:
 def test_try_swap_holds_at_high_alpha() -> None:
     hg = overlap_pair()
     state = SwapState.empty(hg, 1.0)
-    assert try_swap(state, hg, 0)
-    assert not try_swap(state, hg, 1)  # 3 < 2 * 2
+    assert try_swap(state, hg, 0) == []
+    assert try_swap(state, hg, 1) is None  # 3 < 2 * 2
     assert state.best == [0, 0, None]
 
 
 def test_try_swap_alpha_zero_trades_equal_weight() -> None:
     hg = Hypergraph.build(2, [((0, 1), 2.0), ((0, 1), 2.0)])
     state = SwapState.empty(hg, 0.0)
-    assert try_swap(state, hg, 0)
-    assert try_swap(state, hg, 1)
+    assert try_swap(state, hg, 0) == []
+    assert try_swap(state, hg, 1) == [0]
     assert state.matched_ids() == [1]
     strict = SwapState.empty(hg, 0.1)
-    assert try_swap(strict, hg, 0)
-    assert not try_swap(strict, hg, 1)  # 2 < 2.2
+    assert try_swap(strict, hg, 0) == []
+    assert try_swap(strict, hg, 1) is None  # 2 < 2.2
 
 
 def test_try_swap_evicts_whole_conflicting_edges() -> None:
@@ -74,9 +73,9 @@ def test_try_swap_evicts_whole_conflicting_edges() -> None:
         4, [((0, 1), 1.0), ((2, 3), 1.0), ((1, 2), 5.0)]
     )
     state = SwapState.empty(hg, 0.5)
-    assert try_swap(state, hg, 0)
-    assert try_swap(state, hg, 1)
-    assert try_swap(state, hg, 2)  # 5 >= 1.5 * 2, evicts both
+    assert try_swap(state, hg, 0) == []
+    assert try_swap(state, hg, 1) == []
+    assert try_swap(state, hg, 2) == [0, 1]  # 5 >= 1.5 * 2, evicts both
     assert state.best == [None, 2, 2, None]
 
 
@@ -110,9 +109,8 @@ def test_conflict_weight_sums_in_ascending_id_order() -> None:
     hg = Hypergraph.build(3, [((2,), 0.1), ((1,), 0.2), ((0,), 0.3), ((0, 1, 2), 0.6)])
     state = SwapState.empty(hg, 0.0)
     for eid in range(3):
-        assert try_swap(state, hg, eid)
-    assert conflict_set(state, hg, 3) == [0, 1, 2]
-    assert not try_swap(state, hg, 3)
+        assert try_swap(state, hg, eid) == []
+    assert try_swap(state, hg, 3) is None
     matching, metrics = run_swapset(hg, [0, 1, 2, 3], 0.0)
     assert matching.edge_ids == frozenset({0, 1, 2})
     assert metrics.swaps == 0
@@ -156,9 +154,9 @@ def test_swaps_count_the_conflicts_of_fired_swaps() -> None:
                 state = SwapState.empty(hg, alpha)
                 evicted = 0
                 for eid in stream:
-                    conflicts = conflict_set(state, hg, eid)
-                    if try_swap(state, hg, eid):
-                        evicted += len(conflicts)
+                    evictions = try_swap(state, hg, eid)
+                    if evictions is not None:
+                        evicted += len(evictions)
                 _, metrics = run_swapset(hg, stream, alpha)
                 assert metrics.swaps == evicted
 
@@ -186,6 +184,18 @@ def test_runs_are_deterministic() -> None:
             assert matching == results[0][0]
             assert dataclasses.replace(metrics, runtime_ns=0) == dataclasses.replace(
                 results[0][1], runtime_ns=0
+            )
+
+
+def test_run_reads_any_iterable_stream_once() -> None:
+    for hg in random_instances(30, meta_seed=307):
+        stream = order_stream(hg, StreamOrder.RANDOM, seed=31)
+        matching, metrics = run_swapset(hg, stream, 0.3)
+        for form in stream_forms(stream):
+            form_matching, form_metrics = run_swapset(hg, form, 0.3)
+            assert form_matching == matching
+            assert dataclasses.replace(form_metrics, runtime_ns=0) == dataclasses.replace(
+                metrics, runtime_ns=0
             )
 
 
@@ -230,9 +240,9 @@ def test_run_matches_the_try_swap_fold() -> None:
                 state = SwapState.empty(hg, alpha)
                 evicted = 0
                 for eid in stream:
-                    conflicts = conflict_set(state, hg, eid)
-                    if try_swap(state, hg, eid):
-                        evicted += len(conflicts)
+                    evictions = try_swap(state, hg, eid)
+                    if evictions is not None:
+                        evicted += len(evictions)
                 matching, metrics = run_swapset(hg, stream, alpha)
                 assert matching == Matching.from_edge_ids(hg, state.matched_ids())
                 assert metrics.swaps == evicted
