@@ -25,11 +25,18 @@ def two_edge_path() -> Hypergraph:
 
 
 def test_admit_equality_admits() -> None:
-    # 1.0 >= 1.0 admits, and the zero surplus leaves the potentials as they are
     hg = two_edge_path()
     dual = DualState.zeros(3, 0.0)
     dual.potentials = [0.5, 0.5, 0.0]
-    assert admit(dual, hg, 0, UpdateRule.GUARANTEE)
+    assert admit(dual, hg, 0, UpdateRule.GUARANTEE)  # 1.0 >= 1.0
+
+
+def test_apply_update_zero_surplus_is_noop() -> None:
+    # an edge admitted at equality has zero surplus: the potentials stay as they are
+    hg = two_edge_path()
+    dual = DualState.zeros(3, 0.0)
+    dual.potentials = [0.5, 0.5, 0.0]
+    admit(dual, hg, 0, UpdateRule.GUARANTEE)
     assert dual.potentials == [0.5, 0.5, 0.0]
 
 
