@@ -47,15 +47,22 @@ from .swap_matcher import optimal_alpha, run_swapset
 from .baselines import run_greedy, run_naive
 from .oracle import OracleLimits, TooLarge, exact_max_weight_matching
 
-ALGORITHMS = ("stack", "stack-lenient", "swapset", "naive", "greedy")
-STACK_FAMILY = ("stack", "stack-lenient")
+# The knob each algorithm takes; naive and greedy take none.
+KNOBS = {"stack": "epsilon", "stack-lenient": "epsilon", "swapset": "alpha",
+         "naive": None, "greedy": None}
+ALGORITHMS = tuple(KNOBS)
+# The value a cell runs with when its algorithm's knob is unset.
+KNOB_DEFAULTS = {"epsilon": 0.0, "alpha": "auto"}
+
+Source = Union[str, tuple[int, int, int, int]]
+
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One benchmark cell: an instance source plus algorithm configuration."""
+    """One benchmark cell: an instance source, which is an hMetis file path
+    or the generator's (n, m, d_max, w_max), plus algorithm configuration."""
 
-    input_path: Optional[str] = None
-    gen: Optional[tuple[int, int, int, int]] = None  # (n, m, d_max, w_max)
+    source: Source
     weights: WeightScheme = WeightScheme.FROM_FILE
     algorithm: str = "naive"
     epsilon: Optional[float] = None
@@ -67,23 +74,36 @@ class RunSpec:
     repeat: int = 0
 
     def instance_label(self) -> str:
-        if self.input_path is not None:
-            return self.input_path
-        assert self.gen is not None
-        n, m, d_max, w_max = self.gen
-        return f"gen:{n},{m},{d_max},{w_max}"
+        if isinstance(self.source, tuple):
+            return "gen:" + ",".join(map(str, self.source))
+        return str(self.source)
 
     def validate(self) -> None:
-        if (self.input_path is None) == (self.gen is None):
-            raise InvalidInput("exactly one of input_path and gen must be set")
-        if self.algorithm not in ALGORITHMS:
+        source = self.source
+        generated = (isinstance(source, tuple) and len(source) == 4
+                     and all(isinstance(count, int) for count in source))
+        if not (isinstance(source, str) or generated):
+            raise InvalidInput(
+                f"source must be a file path or (n, m, d_max, w_max), got {source!r}")
+        if self.algorithm not in KNOBS:
             raise InvalidInput(f"unknown algorithm {self.algorithm!r}")
-        if self.epsilon is not None and self.algorithm not in STACK_FAMILY:
-            raise InvalidInput(f"epsilon does not apply to {self.algorithm}")
-        if self.alpha is not None and self.algorithm != "swapset":
-            raise InvalidInput(f"alpha does not apply to {self.algorithm}")
+        for knob in KNOB_DEFAULTS:
+            if getattr(self, knob) is not None and KNOBS[self.algorithm] != knob:
+                raise InvalidInput(f"{knob} does not apply to {self.algorithm}")
         if isinstance(self.alpha, str) and self.alpha != "auto":
             raise InvalidInput(f"alpha must be a number or 'auto', got {self.alpha!r}")
+
+
+def _knob_labels(spec: RunSpec) -> dict:
+    """The ``epsilon`` and ``alpha`` a record of the spec carries: the
+    spec's own values, with the default of its algorithm's knob when unset."""
+    labels = {"epsilon": spec.epsilon, "alpha": spec.alpha}
+    knob = KNOBS.get(spec.algorithm)
+    if knob is not None and labels[knob] is None:
+        labels[knob] = KNOB_DEFAULTS[knob]
+    if labels["alpha"] is not None:
+        labels["alpha"] = str(labels["alpha"])
+    return labels
 
 
 @dataclass
@@ -147,11 +167,10 @@ def _cell(value) -> str:
 
 def load_instance(spec: RunSpec) -> Hypergraph:
     """Materialize and weight the instance a spec refers to."""
-    if spec.input_path is not None:
-        hg = parse_hmetis(Path(spec.input_path).read_bytes())
+    if isinstance(spec.source, str):
+        hg = parse_hmetis(Path(spec.source).read_bytes())
     else:
-        n, m, d_max, w_max = spec.gen
-        hg = gen_random_hypergraph(n, m, d_max, w_max, spec.seed)
+        hg = gen_random_hypergraph(*spec.source, spec.seed)
     return synthesize_weights(hg, spec.weights)
 
 
@@ -159,16 +178,13 @@ def logical_memory(algorithm: str, hg: Hypergraph, metrics: RunMetrics) -> int:
     """Units of live state an algorithm needed, in edge-slot counts.
 
     The stack family holds its stacked pins plus one potential per vertex;
-    the swap and naive matchers hold one edge reference per vertex; greedy
-    must keep every pin of the instance in order to sort it.
+    the swap and naive matchers hold one edge reference per vertex (they
+    stack nothing, so their ``peak_stack_pins`` is 0); greedy must keep
+    every pin of the instance in order to sort it.
     """
-    if algorithm in STACK_FAMILY:
-        return metrics.peak_stack_pins + hg.n
-    if algorithm in ("swapset", "naive"):
-        return hg.n
-    if algorithm == "greedy":
-        return hg.total_pins
-    raise InvalidInput(f"unknown algorithm {algorithm!r}")
+    if algorithm not in KNOBS:
+        raise InvalidInput(f"unknown algorithm {algorithm!r}")
+    return hg.total_pins if algorithm == "greedy" else metrics.peak_stack_pins + hg.n
 
 
 @dataclass
@@ -209,29 +225,26 @@ def run(spec: RunSpec) -> ResultRecord:
 
 def _run_cell(spec: RunSpec, instance: _LoadedInstance) -> ResultRecord:
     """Run one validated cell on an already loaded instance."""
-    hg = instance.hg
+    hg, algorithm = instance.hg, spec.algorithm
     # greedy sorts internally; the order axis does not affect it
-    stream = None if spec.algorithm == "greedy" else instance.stream(spec.order, spec.seed)
+    stream = None if algorithm == "greedy" else instance.stream(spec.order, spec.seed)
     dual = None
-    knobs: dict = {}
-    if spec.algorithm in STACK_FAMILY:
-        epsilon = spec.epsilon if spec.epsilon is not None else 0.0
-        rule = UpdateRule.GUARANTEE if spec.algorithm == "stack" else UpdateRule.LENIENT
-        matching, dual, metrics = run_stack_stream(hg, stream, epsilon, rule)
-        knobs = {"epsilon": epsilon}
-    elif spec.algorithm == "swapset":
-        auto = spec.alpha is None or spec.alpha == "auto"
-        resolved = optimal_alpha(max(hg.d, 1)) if auto else float(spec.alpha)
-        matching, metrics = run_swapset(hg, stream, resolved)
-        knobs = {"alpha": "auto" if auto else str(resolved), "resolved_alpha": resolved}
-    elif spec.algorithm == "naive":
+    knobs = _knob_labels(spec)
+    if algorithm == "swapset":
+        auto = knobs["alpha"] == "auto"
+        knobs["resolved_alpha"] = optimal_alpha(max(hg.d, 1)) if auto else float(spec.alpha)
+        matching, metrics = run_swapset(hg, stream, knobs["resolved_alpha"])
+    elif algorithm == "naive":
         matching, metrics = run_naive(hg, stream)
-    else:
+    elif algorithm == "greedy":
         matching, metrics = run_greedy(hg)
+    else:
+        rule = UpdateRule.GUARANTEE if algorithm == "stack" else UpdateRule.LENIENT
+        matching, dual, metrics = run_stack_stream(hg, stream, knobs["epsilon"], rule)
 
     record = ResultRecord.for_spec(
         spec, n=hg.n, m=hg.m, d=hg.d, total_pins=hg.total_pins,
-        logical_memory=logical_memory(spec.algorithm, hg, metrics), **knobs, **vars(metrics),
+        logical_memory=logical_memory(algorithm, hg, metrics), **knobs, **vars(metrics),
     )
     if spec.certify:
         if dual is not None:
@@ -257,10 +270,7 @@ def grid(specs: Iterable[RunSpec]) -> Iterator[ResultRecord]:
     loaded: dict[tuple, _LoadedInstance] = {}
     for spec in specs:
         # --seed changes a generated instance but not a file's contents
-        if spec.input_path is not None:
-            key = (spec.input_path, spec.weights)
-        else:
-            key = (spec.gen, spec.seed, spec.weights)
+        key = (spec.source, spec.weights, None if isinstance(spec.source, str) else spec.seed)
         if key[0] != source:
             source = key[0]
             loaded.clear()
@@ -271,19 +281,15 @@ def grid(specs: Iterable[RunSpec]) -> Iterator[ResultRecord]:
             record = _run_cell(spec, loaded[key])
         except (ParseError, InvalidInput, OSError, TooLarge) as exc:
             record = ResultRecord.for_spec(
-                spec,
-                epsilon=spec.epsilon,
-                alpha=None if spec.alpha is None else str(spec.alpha),
-                error=f"{type(exc).__name__}: {exc}",
-            )
+                spec, **_knob_labels(spec), error=f"{type(exc).__name__}: {exc}")
         yield record
 
 
 def expand_grid(
-    sources: list[tuple[Optional[str], Optional[tuple[int, int, int, int]]]],
+    sources: list[Source],
     algorithms: list[str],
-    epsilons: list[float],
-    alphas: list[Union[float, str]],
+    epsilons: list[Optional[float]],
+    alphas: list[Union[float, str, None]],
     orders: list[StreamOrder],
     seeds: list[int],
     repeats: int,
@@ -291,22 +297,19 @@ def expand_grid(
     certify: bool,
     emit_matching: bool,
 ) -> Iterator[RunSpec]:
-    """Cartesian product of the axes, skipping knobs an algorithm lacks."""
-    for input_path, gen in sources:
+    """Cartesian product of the axes, skipping knobs an algorithm lacks;
+    a knob value of None runs the cell with that knob's default."""
+    axes = {"epsilon": epsilons, "alpha": alphas}
+    for source in sources:
         for algorithm in algorithms:
-            if algorithm in STACK_FAMILY:
-                knobs = [{"epsilon": e} for e in epsilons]
-            elif algorithm == "swapset":
-                knobs = [{"alpha": a} for a in alphas]
-            else:
-                knobs = [{}]
-            for knob in knobs:
+            knob = KNOBS.get(algorithm)
+            settings = [{knob: value} for value in axes[knob]] if knob else [{}]
+            for setting in settings:
                 for order in orders:
                     for seed in seeds:
                         for repeat in range(repeats):
                             yield RunSpec(
-                                input_path=input_path,
-                                gen=gen,
+                                source=source,
                                 weights=weights,
                                 algorithm=algorithm,
                                 order=order,
@@ -314,7 +317,7 @@ def expand_grid(
                                 certify=certify,
                                 emit_matching=emit_matching,
                                 repeat=repeat,
-                                **knob,
+                                **setting,
                             )
 
 
@@ -373,7 +376,7 @@ def _parse_gen(text: str) -> tuple[int, int, int, int]:
 
 def _parse_alpha(text: str) -> Union[float, str]:
     if text == "auto":
-        return "auto"
+        return text
     try:
         return float(text)
     except ValueError:
@@ -392,6 +395,21 @@ def _add_source_args(parser: argparse.ArgumentParser, repeatable: bool) -> None:
                         help="seed for generation and random order (default 0)")
 
 
+def _add_cell_args(parser: argparse.ArgumentParser, repeatable: bool) -> None:
+    action = "append" if repeatable else "store"
+    parser.add_argument("--algorithm", action=action, choices=ALGORITHMS, required=True)
+    parser.add_argument("--epsilon", action=action, type=float,
+                        help="admission slack for the stack family (default 0)")
+    parser.add_argument("--alpha", action=action, type=_parse_alpha,
+                        help="swap threshold for swapset, or 'auto' (default)")
+    parser.add_argument("--order", action=action, choices=[o.value for o in StreamOrder],
+                        help="stream order (default original)")
+    parser.add_argument("--certify", action="store_true",
+                        help="attach dual certificate and, when feasible, the exact optimum")
+    parser.add_argument("--emit-matching", action="store_true",
+                        help="include the matched edge ids in the record")
+
+
 def _add_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", metavar="FILE", default=None,
@@ -407,31 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one algorithm on one instance")
     _add_source_args(p_run, repeatable=False)
-    p_run.add_argument("--algorithm", choices=ALGORITHMS, required=True)
-    p_run.add_argument("--epsilon", type=float, default=None,
-                       help="admission slack for the stack family (default 0)")
-    p_run.add_argument("--alpha", type=_parse_alpha, default=None,
-                       help="swap threshold for swapset, or 'auto' (default)")
-    p_run.add_argument("--order", choices=[o.value for o in StreamOrder],
-                       default="original")
-    p_run.add_argument("--certify", action="store_true",
-                       help="attach dual certificate and, when feasible, the exact optimum")
-    p_run.add_argument("--emit-matching", action="store_true",
-                       help="include the matched edge ids in the record")
+    _add_cell_args(p_run, repeatable=False)
     _add_output_args(p_run)
 
     p_grid = sub.add_parser("grid", help="cartesian product of configurations")
     _add_source_args(p_grid, repeatable=True)
-    p_grid.add_argument("--algorithm", action="append", choices=ALGORITHMS,
-                        required=True)
-    p_grid.add_argument("--epsilon", action="append", type=float, default=None)
-    p_grid.add_argument("--alpha", action="append", type=_parse_alpha, default=None)
-    p_grid.add_argument("--order", action="append",
-                        choices=[o.value for o in StreamOrder], default=None)
+    _add_cell_args(p_grid, repeatable=True)
     p_grid.add_argument("--repeats", type=int, default=1,
                         help="repetitions of every cell (default 1)")
-    p_grid.add_argument("--certify", action="store_true")
-    p_grid.add_argument("--emit-matching", action="store_true")
     _add_output_args(p_grid)
 
     p_oracle = sub.add_parser("oracle", help="exact optimum of a small instance")
@@ -442,16 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _single_spec(args, **knobs) -> RunSpec:
+def _single_spec(args, **cell) -> RunSpec:
     """The spec of a single-source subcommand (``run`` or ``oracle``)."""
     if (args.input is None) == (args.gen is None):
         raise InvalidInput("exactly one of --input and --gen is required")
     return RunSpec(
-        input_path=args.input,
-        gen=_parse_gen(args.gen) if args.gen is not None else None,
+        source=args.input if args.gen is None else _parse_gen(args.gen),
         weights=WeightScheme(args.weights),
         seed=args.seed if args.seed is not None else 0,
-        **knobs,
+        **cell,
     )
 
 
@@ -464,7 +464,7 @@ def _records(args) -> Iterable[ResultRecord]:
             algorithm=args.algorithm,
             epsilon=args.epsilon,
             alpha=args.alpha,
-            order=StreamOrder(args.order),
+            order=StreamOrder(args.order or "original"),
             certify=args.certify,
             emit_matching=args.emit_matching,
         )
@@ -472,8 +472,7 @@ def _records(args) -> Iterable[ResultRecord]:
     if args.command == "oracle":
         limits = OracleLimits(max_edges=args.max_edges)
         return [oracle_record(_single_spec(args), limits)]
-    sources = [(path, None) for path in args.input or []]
-    sources += [(None, _parse_gen(text)) for text in args.gen or []]
+    sources = [*(args.input or []), *map(_parse_gen, args.gen or [])]
     if not sources:
         raise InvalidInput("grid needs at least one --input or --gen")
     if args.repeats < 1:
@@ -481,10 +480,10 @@ def _records(args) -> Iterable[ResultRecord]:
     specs = expand_grid(
         sources=sources,
         algorithms=args.algorithm,
-        epsilons=args.epsilon if args.epsilon is not None else [0.0],
-        alphas=args.alpha if args.alpha is not None else ["auto"],
-        orders=[StreamOrder(o) for o in (args.order or ["original"])],
-        seeds=args.seed if args.seed is not None else [0],
+        epsilons=args.epsilon or [None],
+        alphas=args.alpha or [None],
+        orders=[StreamOrder(o) for o in args.order or ["original"]],
+        seeds=args.seed or [0],
         repeats=args.repeats,
         weights=WeightScheme(args.weights),
         certify=args.certify,

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Hypergraph, Matching
+from .ingest import StreamOrder, order_stream
 
 
 class TooLarge(RuntimeError):
@@ -55,8 +56,7 @@ def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None
     if hg.m > limits.max_edges:
         raise TooLarge(f"{hg.m} edges exceeds the oracle cap of {limits.max_edges}")
 
-    # Stable sort of ascending ids: equal weights stay in id order.
-    order = sorted(range(hg.m), key=hg.weights.__getitem__, reverse=True)
+    order = order_stream(hg, StreamOrder.DESCENDING)
     vertex_masks = [_vertex_mask(hg, eid) for eid in order]
     exact = _exact_weights(hg)
     weights = [exact[eid] for eid in order]

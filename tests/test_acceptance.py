@@ -335,7 +335,7 @@ def test_criterion_9_determinism(corpus) -> None:
 
     # end to end through the bench layer as well
     spec = cli.RunSpec(
-        gen=(9, 12, 4, 100),
+        source=(9, 12, 4, 100),
         algorithm="stack",
         epsilon=1.0,
         order=StreamOrder.RANDOM,

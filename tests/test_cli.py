@@ -217,6 +217,32 @@ def test_grid_records_cell_errors_and_continues(tmp_path, capsys) -> None:
     assert rows[1]["matching_weight"] != ""
 
 
+def test_grid_error_rows_record_the_resolved_knobs(tmp_path) -> None:
+    # the knobs of a successful run: defaults filled in for the algorithm's own
+    resolved = [(0.0, None), (0.0, None), (None, "auto"), (None, None), (None, None)]
+    missing = str(tmp_path / "missing.hgr")
+    failed = list(cli.grid(cli.RunSpec(missing, algorithm=a) for a in cli.ALGORITHMS))
+    assert all(r.error.startswith("FileNotFoundError") for r in failed)
+    assert [(r.epsilon, r.alpha) for r in failed] == resolved
+    solved = [cli.run(cli.RunSpec((5, 6, 2, 10), algorithm=a)) for a in cli.ALGORITHMS]
+    assert [(r.epsilon, r.alpha) for r in solved] == resolved
+
+
+def test_run_equals_a_one_cell_grid(capsys) -> None:
+    for algorithm, knob in cli.KNOBS.items():
+        for knob_args in [[]] + ([[f"--{knob}", "0.5"]] if knob else []):
+            argv = ["--gen", "9,12,3,100", "--algorithm", algorithm, *knob_args,
+                    "--order", "random", "--seed", "3", "--certify", "--emit-matching"]
+            rows = []
+            for command in ("run", "grid"):
+                code, out, _ = run_cli([command, *argv], capsys)
+                assert code == 0
+                (row,) = csv_rows(out)
+                row.pop("runtime_ns")
+                rows.append(row)
+            assert rows[0] == rows[1]
+
+
 def test_grid_records_match_golden_digest(tmp_path, monkeypatch) -> None:
     monkeypatch.chdir(tmp_path)
     Path("decimal.hgr").write_text(DECIMAL_FILE, newline="")
@@ -246,7 +272,7 @@ def test_grid_propagates_programming_errors(monkeypatch) -> None:
 
     monkeypatch.setattr(cli, "run_naive", broken)
     specs = cli.expand_grid(
-        sources=[(None, (5, 6, 2, 10))], algorithms=["naive"], epsilons=[0.0],
+        sources=[(5, 6, 2, 10)], algorithms=["naive"], epsilons=[0.0],
         alphas=["auto"], orders=[StreamOrder.ORIGINAL], seeds=[0], repeats=1,
         weights=WeightScheme.FROM_FILE, certify=False, emit_matching=False,
     )
@@ -258,7 +284,7 @@ def test_grid_loads_and_solves_each_instance_once(tmp_path, monkeypatch) -> None
     path = tmp_path / "small.hgr"
     path.write_text(serialize_hmetis(gen_random_hypergraph(9, 12, 3, 100, seed=5)))
     specs = list(cli.expand_grid(
-        sources=[(str(path), None), (None, (8, 10, 3, 50))],
+        sources=[str(path), (8, 10, 3, 50)],
         algorithms=list(cli.ALGORITHMS), epsilons=[0.5], alphas=["auto"],
         orders=[StreamOrder.ORIGINAL, StreamOrder.RANDOM], seeds=[1, 2], repeats=1,
         weights=WeightScheme.FROM_FILE, certify=True, emit_matching=True,
@@ -269,7 +295,8 @@ def test_grid_loads_and_solves_each_instance_once(tmp_path, monkeypatch) -> None
     load, solve, order = cli.load_instance, cli.exact_max_weight_matching, cli.order_stream
 
     def counting_load(spec):
-        calls["load"].append(spec.input_path or (spec.gen, spec.seed))
+        source = spec.source
+        calls["load"].append(source if isinstance(source, str) else (source, spec.seed))
         return load(spec)
 
     def counting_solve(hg, limits=None):
@@ -312,18 +339,25 @@ def test_oracle_subcommand(tmp_path, capsys) -> None:
     assert row["matching_edges"] == "1"
 
 
-def test_oracle_record_validates_its_spec(tmp_path) -> None:
-    path = tmp_path / "two.hgr"
-    path.write_text(TWO_EDGE_FILE)
-    for spec in (cli.RunSpec(), cli.RunSpec(input_path=str(path), gen=(3, 2, 2, 10))):
-        with pytest.raises(InvalidInput, match="exactly one of input_path and gen"):
-            cli.oracle_record(spec)
+def test_oracle_record_validates_its_spec() -> None:
+    for source in (None, (3, 2, 2), (3.0, 2, 2, 10)):
+        with pytest.raises(InvalidInput, match="source must be a file path or"):
+            cli.oracle_record(cli.RunSpec(source=source))
 
 
 def test_oracle_refuses_large_instances_with_exit_3(capsys) -> None:
     code, out, err = run_cli(["oracle", "--gen", "40,30,2,10"], capsys)
     assert code == 3
     assert json.loads(err)["error"] == "too_large"
+
+
+def test_oracle_max_edges_sets_the_cap(capsys) -> None:
+    code, _, err = run_cli(["oracle", "--gen", "10,12,3,10", "--max-edges", "11"], capsys)
+    assert code == 3
+    assert json.loads(err)["error"] == "too_large"
+    code, out, _ = run_cli(["oracle", "--gen", "10,12,3,10", "--max-edges", "12"], capsys)
+    assert code == 0
+    assert csv_rows(out)[0]["m"] == "12"
 
 
 def test_parse_error_exits_2(tmp_path, capsys) -> None:
