@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import Iterable, Iterator, NoReturn, Optional, TextIO, Union
 
 from .core import Hypergraph, InvalidInput, RunMetrics
 from .ingest import (
@@ -416,8 +416,17 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
                         help="write records here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line on stderr as the same one-line JSON object
+    as every other error; its subcommand parsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        _print_error("usage", message)
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypermatch",
         description="Streaming hypergraph matching benchmarks with certificates.",
     )

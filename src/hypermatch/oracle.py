@@ -1,10 +1,13 @@
 """Exact maximum-weight matching for desk-scale instances.
 
 The primary solver is a depth-first branch-and-bound over include/exclude
-decisions.  Edges are visited in descending weight order (ties by id) with
-the heavier include-branch explored first, so a strong incumbent appears
-early; a subtree is pruned when the weight collected so far plus the total
-weight remaining below it cannot beat the incumbent.  Among equal-weight
+decisions.  Edges are taken in descending weight order (ties by id) with
+the include-branch explored first, so a strong incumbent appears early.
+The search branches only on edges still compatible with the partial
+matching: including an edge drops every later edge that shares a vertex
+with it.  The bound on a subtree is the exact total weight of the edges
+still compatible there, and a subtree is pruned when the weight collected
+so far plus that bound cannot beat the incumbent.  Among equal-weight
 optima the solver returns the one whose sorted edge-id tuple is
 lexicographically smallest, which keeps results reproducible.  Sums are
 compared exactly, on weights scaled to integers, so float rounding in the
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Hypergraph, Matching
+from .core import Hypergraph, InvalidInput, Matching
 from .ingest import StreamOrder, order_stream
 
 
@@ -35,13 +38,23 @@ class OracleLimits:
     """Hard caps for the exact solvers.
 
     ``max_edges`` bounds the search space up front; ``max_nodes_expanded``
-    is a safety valve on the number of branch-and-bound nodes actually
-    visited, for adversarial instances (e.g. all weights equal) where
-    pruning is powerless.
+    is a safety valve on the number of search-tree nodes actually visited
+    (the root plus one per include or exclude decision on an edge still
+    compatible with the partial matching), for adversarial instances
+    (e.g. all weights equal) where pruning is powerless.  Raises
+    InvalidInput for a negative ``max_edges`` or a ``max_nodes_expanded``
+    below 1.
     """
 
     max_edges: int = 24
     max_nodes_expanded: int = 1 << 25
+
+    def __post_init__(self) -> None:
+        if self.max_edges < 0:
+            raise InvalidInput(f"max_edges must be non-negative, got {self.max_edges}")
+        if self.max_nodes_expanded < 1:
+            raise InvalidInput(
+                f"max_nodes_expanded must be at least 1, got {self.max_nodes_expanded}")
 
 
 def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None) -> Matching:
@@ -60,39 +73,53 @@ def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None
     vertex_masks = [_vertex_mask(hg, eid) for eid in order]
     exact = _exact_weights(hg)
     weights = [exact[eid] for eid in order]
-    # suffix[i] = total weight of order[i:], the best any subtree below i can add
-    suffix = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i]
+    # later[i] = the positions j > i whose edges share a vertex with edge i
+    later = [0] * len(order)
+    for i, mask in enumerate(vertex_masks):
+        for j in range(i + 1, len(order)):
+            if mask & vertex_masks[j]:
+                later[i] |= 1 << j
 
     best_weight = 0
     best_ids: tuple[int, ...] = ()
     expanded = 0
     chosen: list[int] = []
 
-    def visit(i: int, used: int, current: int) -> None:
+    def visit(avail: int, current: int, bound: int) -> None:
+        # avail: positions still compatible with the chosen edges;
+        # bound: their total weight, the most any completion can add
         nonlocal best_weight, best_ids, expanded
         expanded += 1
         if expanded > limits.max_nodes_expanded:
             raise TooLarge(
                 f"search exceeded {limits.max_nodes_expanded} node expansions"
             )
-        if i == len(order):
+        # Equal bound stays alive: a tie may still win on the id tie-break.
+        if current + bound < best_weight:
+            return
+        if not avail:
+            # bound is 0 at a leaf, so the check above left current >= best_weight
             ids = tuple(sorted(chosen))
-            if current > best_weight or (current == best_weight and ids < best_ids):
+            if current > best_weight or ids < best_ids:
                 best_weight = current
                 best_ids = ids
             return
-        # Equal bound stays alive: a tie may still win on the id tie-break.
-        if current + suffix[i] < best_weight:
-            return
-        if not used & vertex_masks[i]:
-            chosen.append(order[i])
-            visit(i + 1, used | vertex_masks[i], current + weights[i])
-            chosen.pop()
-        visit(i + 1, used, current)
+        low = avail & -avail
+        i = low.bit_length() - 1
+        rest = avail ^ low
+        dropped = rest & later[i]
+        # what including edge i takes out of the bound: it and its conflicts
+        lost = weights[i]
+        while dropped:
+            bit = dropped & -dropped
+            lost += weights[bit.bit_length() - 1]
+            dropped ^= bit
+        chosen.append(order[i])
+        visit(rest & ~later[i], current + weights[i], bound - lost)
+        chosen.pop()
+        visit(rest, current, bound - weights[i])
 
-    visit(0, 0, 0)
+    visit((1 << len(order)) - 1, 0, sum(weights))
     return Matching.from_edge_ids(hg, best_ids)
 
 

@@ -360,6 +360,13 @@ def test_oracle_max_edges_sets_the_cap(capsys) -> None:
     assert csv_rows(out)[0]["m"] == "12"
 
 
+def test_oracle_rejects_a_negative_edge_cap(capsys) -> None:
+    code, out, err = run_cli(["oracle", "--gen", "10,12,3,10", "--max-edges", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "invalid_input"
+
+
 def test_parse_error_exits_2(tmp_path, capsys) -> None:
     bad = tmp_path / "bad.hgr"
     bad.write_text("2 3 1\n0 1 2\n7 2 3\n")
@@ -429,6 +436,25 @@ def test_non_finite_knobs_exit_2(capsys) -> None:
 def test_bad_gen_spec_exits_2(capsys) -> None:
     code, _, _ = run_cli(["run", "--gen", "5,5", "--algorithm", "naive"], capsys)
     assert code == 2
+
+
+def test_bad_flags_are_reported_as_json(capsys) -> None:
+    for argv, flag in (
+        (["run", "--gen", "5,5,2,10", "--algorithm", "naive", "--order", "bogus"], "--order"),
+        (["grid", "--gen", "5,5,2,10"], "--algorithm"),
+        (["oracle", "--gen", "5,5,2,10", "--max-edges", "x"], "--max-edges"),
+        ([], "command"),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        message = json.loads(err)
+        assert message["error"] == "usage"
+        assert flag in message["message"]
+    code, out, err = run_cli(["run", "--help"], capsys)
+    assert code == 0
+    assert out.startswith("usage: hypermatch run")
+    assert err == ""
 
 
 def test_both_or_neither_source_exits_2(tmp_path, capsys) -> None:

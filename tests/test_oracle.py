@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from hypermatch.core import Hypergraph, Matching, validate_matching
+from hypermatch.core import Hypergraph, InvalidInput, Matching, validate_matching
+from hypermatch.ingest import WeightScheme, gen_random_hypergraph, synthesize_weights
 from hypermatch.baselines import run_naive
 from hypermatch.oracle import (
     OracleLimits,
@@ -12,7 +13,7 @@ from hypermatch.oracle import (
     is_maximal,
 )
 
-from conftest import random_instances
+from conftest import random_instances, with_decimal_weights
 
 
 def test_exact_picks_the_disjoint_pair_over_the_heavy_middle() -> None:
@@ -60,6 +61,42 @@ def test_exact_matches_exhaustive_enumeration() -> None:
         assert validate_matching(hg, fast)
 
 
+def test_exact_matches_exhaustive_enumeration_on_ties() -> None:
+    # Unit weights tie every pair of equal-size matchings, but there the
+    # search meets optima in id order.  Weights of 1 or 2 also tie matchings
+    # of different sizes, which the weight-ordered search can meet out of id
+    # order, so a prune that drops an equal bound keeps the wrong optimum.
+    # Decimal weights tie only when their exact sums do.
+    base = random_instances(150, meta_seed=503, m_max=14)
+    corpora = (
+        [synthesize_weights(hg, WeightScheme.UNIT) for hg in base],
+        random_instances(150, meta_seed=504, m_max=14, weight_caps=(2,)),
+        [with_decimal_weights(hg, k) for k, hg in enumerate(base)],
+    )
+    for corpus in corpora:
+        for hg in corpus:
+            fast = exact_max_weight_matching(hg)
+            brute = exhaustive_max_weight_matching(hg)
+            assert fast.weight == brute.weight
+            assert fast.edge_ids == brute.edge_ids
+
+
+def test_exact_search_fits_a_tight_node_cap() -> None:
+    # Branching only on edges still compatible with the partial matching,
+    # bounded by their total weight, solves these shapes in at most 147
+    # nodes; branching on every edge under a suffix-sum bound needs 362-885.
+    limits = OracleLimits(max_nodes_expanded=300)
+    for seed in (1000, 1001, 1002):
+        for shape in ((14, 20, 4, 100), (16, 24, 4, 100)):
+            hg = gen_random_hypergraph(*shape, seed)
+            capped = exact_max_weight_matching(hg, limits)
+            assert validate_matching(hg, capped)
+            if hg.m <= 20:  # the enumeration's own cap
+                brute = exhaustive_max_weight_matching(hg)
+                assert capped.weight == brute.weight
+                assert capped.edge_ids == brute.edge_ids
+
+
 def test_exact_refuses_too_many_edges() -> None:
     hg = Hypergraph.build(50, [((2 * i, 2 * i + 1), 1.0) for i in range(25)])
     with pytest.raises(TooLarge):
@@ -87,6 +124,15 @@ def test_oracle_limits_defaults() -> None:
     limits = OracleLimits()
     assert limits.max_edges == 24
     assert limits.max_nodes_expanded == 1 << 25
+
+
+def test_oracle_limits_reject_out_of_range_caps() -> None:
+    with pytest.raises(InvalidInput, match="max_edges"):
+        OracleLimits(max_edges=-1)
+    with pytest.raises(InvalidInput, match="max_nodes_expanded"):
+        OracleLimits(max_nodes_expanded=0)
+    smallest = OracleLimits(max_edges=0, max_nodes_expanded=1)
+    assert exact_max_weight_matching(Hypergraph(2, (), ()), smallest).weight == 0.0
 
 
 def test_is_maximal_examples() -> None:
