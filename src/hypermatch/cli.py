@@ -60,7 +60,9 @@ Source = Union[str, tuple[int, int, int, int]]
 @dataclass(frozen=True)
 class RunSpec:
     """One benchmark cell: an instance source, which is an hMetis file path
-    or the generator's (n, m, d_max, w_max), plus algorithm configuration."""
+    or the generator's (n, m, d_max, w_max), plus algorithm configuration.
+    Construction validates it and sets the algorithm's own knob to its
+    default when unset; a knob the algorithm lacks stays None."""
 
     source: Source
     weights: WeightScheme = WeightScheme.FROM_FILE
@@ -78,7 +80,7 @@ class RunSpec:
             return "gen:" + ",".join(map(str, self.source))
         return str(self.source)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         source = self.source
         generated = (isinstance(source, tuple) and len(source) == 4
                      and all(isinstance(count, int) for count in source))
@@ -87,23 +89,14 @@ class RunSpec:
                 f"source must be a file path or (n, m, d_max, w_max), got {source!r}")
         if self.algorithm not in KNOBS:
             raise InvalidInput(f"unknown algorithm {self.algorithm!r}")
-        for knob in KNOB_DEFAULTS:
-            if getattr(self, knob) is not None and KNOBS[self.algorithm] != knob:
+        for knob, default in KNOB_DEFAULTS.items():
+            if KNOBS[self.algorithm] == knob:
+                if getattr(self, knob) is None:
+                    object.__setattr__(self, knob, default)
+            elif getattr(self, knob) is not None:
                 raise InvalidInput(f"{knob} does not apply to {self.algorithm}")
         if isinstance(self.alpha, str) and self.alpha != "auto":
             raise InvalidInput(f"alpha must be a number or 'auto', got {self.alpha!r}")
-
-
-def _knob_labels(spec: RunSpec) -> dict:
-    """The ``epsilon`` and ``alpha`` a record of the spec carries: the
-    spec's own values, with the default of its algorithm's knob when unset."""
-    labels = {"epsilon": spec.epsilon, "alpha": spec.alpha}
-    knob = KNOBS.get(spec.algorithm)
-    if knob is not None and labels[knob] is None:
-        labels[knob] = KNOB_DEFAULTS[knob]
-    if labels["alpha"] is not None:
-        labels["alpha"] = str(labels["alpha"])
-    return labels
 
 
 @dataclass
@@ -144,7 +137,8 @@ class ResultRecord:
         """A record labelled with the spec's configuration; ``values`` win."""
         labels = dict(instance=spec.instance_label(), algorithm=spec.algorithm,
                       weights=spec.weights.value, order=spec.order.value,
-                      seed=spec.seed, repeat=spec.repeat)
+                      seed=spec.seed, repeat=spec.repeat, epsilon=spec.epsilon,
+                      alpha=None if spec.alpha is None else str(spec.alpha))
         return cls(**{**labels, **values})
 
     def as_dict(self) -> dict:
@@ -219,32 +213,31 @@ class _LoadedInstance:
 
 def run(spec: RunSpec) -> ResultRecord:
     """Execute one benchmark cell and return its record."""
-    spec.validate()
     return _run_cell(spec, _LoadedInstance(load_instance(spec)))
 
 
 def _run_cell(spec: RunSpec, instance: _LoadedInstance) -> ResultRecord:
-    """Run one validated cell on an already loaded instance."""
+    """Run one cell on an already loaded instance."""
     hg, algorithm = instance.hg, spec.algorithm
     # greedy sorts internally; the order axis does not affect it
     stream = None if algorithm == "greedy" else instance.stream(spec.order, spec.seed)
-    dual = None
-    knobs = _knob_labels(spec)
+    dual = resolved_alpha = None
     if algorithm == "swapset":
-        auto = knobs["alpha"] == "auto"
-        knobs["resolved_alpha"] = optimal_alpha(max(hg.d, 1)) if auto else float(spec.alpha)
-        matching, metrics = run_swapset(hg, stream, knobs["resolved_alpha"])
+        auto = spec.alpha == "auto"
+        resolved_alpha = optimal_alpha(max(hg.d, 1)) if auto else float(spec.alpha)
+        matching, metrics = run_swapset(hg, stream, resolved_alpha)
     elif algorithm == "naive":
         matching, metrics = run_naive(hg, stream)
     elif algorithm == "greedy":
         matching, metrics = run_greedy(hg)
     else:
         rule = UpdateRule.GUARANTEE if algorithm == "stack" else UpdateRule.LENIENT
-        matching, dual, metrics = run_stack_stream(hg, stream, knobs["epsilon"], rule)
+        matching, dual, metrics = run_stack_stream(hg, stream, spec.epsilon, rule)
 
     record = ResultRecord.for_spec(
-        spec, n=hg.n, m=hg.m, d=hg.d, total_pins=hg.total_pins,
-        logical_memory=logical_memory(algorithm, hg, metrics), **knobs, **vars(metrics),
+        spec, resolved_alpha=resolved_alpha, n=hg.n, m=hg.m, d=hg.d,
+        total_pins=hg.total_pins, logical_memory=logical_memory(algorithm, hg, metrics),
+        **vars(metrics),
     )
     if spec.certify:
         if dual is not None:
@@ -275,13 +268,11 @@ def grid(specs: Iterable[RunSpec]) -> Iterator[ResultRecord]:
             source = key[0]
             loaded.clear()
         try:
-            spec.validate()
             if key not in loaded:
                 loaded[key] = _LoadedInstance(load_instance(spec))
             record = _run_cell(spec, loaded[key])
         except (ParseError, InvalidInput, OSError, TooLarge) as exc:
-            record = ResultRecord.for_spec(
-                spec, **_knob_labels(spec), error=f"{type(exc).__name__}: {exc}")
+            record = ResultRecord.for_spec(spec, error=f"{type(exc).__name__}: {exc}")
         yield record
 
 
@@ -325,7 +316,6 @@ def oracle_record(
     spec: RunSpec, limits: OracleLimits | None = None
 ) -> ResultRecord:
     """Solve an instance exactly and wrap the result in the record schema."""
-    spec.validate()
     hg = load_instance(spec)
     matching = exact_max_weight_matching(hg, limits)
     return ResultRecord.for_spec(
@@ -380,7 +370,8 @@ def _parse_alpha(text: str) -> Union[float, str]:
     try:
         return float(text)
     except ValueError:
-        raise InvalidInput(f"--alpha must be a number or 'auto', got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"--alpha must be a number or 'auto', got {text!r}") from None
 
 
 def _add_source_args(parser: argparse.ArgumentParser, repeatable: bool) -> None:

@@ -35,8 +35,10 @@ class Hypergraph:
     edge is its position in the input stream.  ``d`` is the maximum edge
     size (0 when there are no edges) and ``total_pins`` the total number of
     vertex slots across all edges.  The total edge weight must be finite,
-    so no matching weight can overflow.  The constructor validates both
-    arrays once; :meth:`build` accepts unsorted vertex lists.
+    so no matching weight can overflow; ``n`` and vertex ids are ``int``,
+    never ``bool``.  The constructor is the package's one edge validator:
+    the parser only adds line numbers, and :meth:`build` accepts unsorted
+    vertex lists.
     """
 
     n: int
@@ -47,8 +49,8 @@ class Hypergraph:
 
     def __post_init__(self) -> None:
         n = self.n
-        if n < 0:
-            raise InvalidInput(f"vertex count must be non-negative, got {n}")
+        if type(n) is not int or n < 0:
+            raise InvalidInput(f"vertex count must be a non-negative int, got {n!r}")
         vertices = tuple(map(tuple, self.vertices))
         weights = tuple(map(float, self.weights))
         if len(vertices) != len(weights):
@@ -64,10 +66,11 @@ class Hypergraph:
                 raise InvalidInput(f"edge {eid} has no vertices")
             prev = -1
             for v in verts:
-                if v <= prev:
+                # bool is an int subclass; as a vertex id it is a caller's error
+                if type(v) is not int or v <= prev:
                     raise InvalidInput(
                         f"edge {eid} has vertices {verts}; they must be distinct, "
-                        "ascending and non-negative"
+                        "ascending and non-negative ints"
                     )
                 prev = v
             if prev >= n:

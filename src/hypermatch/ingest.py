@@ -15,9 +15,10 @@ Lines may end in LF or CRLF.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-import operator
 import random
+from typing import Iterator, Optional
 
 from .core import Hypergraph, InvalidInput
 
@@ -52,11 +53,12 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
 
     Accepts a string or bytes (decoded as UTF-8).
     Comment lines ('%') and blank lines are skipped.  Raises ParseError
-    (with the offending line number) on undecodable bytes, non-numeric
-    tokens, vertex ids outside ``1..n``, a vertex id repeated on one edge,
-    edge-count mismatches, empty edges, or weights that are not positive
-    and finite.  An edge-count mismatch is reported before any error on an
-    edge line.
+    (with the offending line number) on undecodable bytes, a bad header or
+    an edge-count mismatch, which is reported before any bad edge line.
+    The edges are validated by Hypergraph alone; when it rejects them, the
+    first line at fault (non-numeric token, vertex id outside ``1..n`` or
+    repeated, no vertices, weight not positive and finite) is found and
+    reported.  An overflowing total weight stays InvalidInput.
     """
     if isinstance(source, bytes):
         try:
@@ -66,12 +68,7 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
     else:
         text = source
 
-    # (line number, tokens) of every line that carries data, lazily
-    lines = (
-        (lineno, tokens)
-        for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1)
-        if tokens and tokens[0][0] != "%"
-    )
+    lines = _data_lines(text)
     header_line, header = next(lines, (1, None))
     if header is None:
         raise ParseError("missing header line", 1)
@@ -90,12 +87,13 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
     if fmt not in (0, 1):
         raise ParseError(f"unsupported fmt {fmt} (only 0 and 1 are handled)", header_line)
 
+    # A token that does not convert becomes a value Hypergraph rejects: a
+    # weight of nan, or an edge with no vertices.
     vertices: list[tuple[int, ...]] = []
     weights: list[float] = []
     shift = (-1).__add__  # 1-based file ids to 0-based
     found = 0  # edge lines seen
     extra_line = None  # the first edge line past the m declared
-    problem = None  # (message, line) of the first bad edge line
     lineno = header_line
     for lineno, tokens in lines:
         found += 1
@@ -103,53 +101,54 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
             if extra_line is None:
                 extra_line = lineno
             continue
-        if problem is not None:
-            continue  # keep counting: a count mismatch is reported first
         if fmt == 1:
             try:
-                weight = float(tokens[0])
+                weights.append(float(tokens[0]))
             except ValueError:
-                weight = math.nan
-            if not 0.0 < weight < math.inf:
-                problem = (_weight_problem(tokens[0]), lineno)
-                continue
-            vertex_tokens = tokens[1:]
-        else:
-            weight = 1.0
-            vertex_tokens = tokens
+                weights.append(math.nan)
+            del tokens[0]
         try:
-            ids = sorted(map(int, vertex_tokens))
+            vertices.append(tuple(map(shift, sorted(map(int, tokens)))))
         except ValueError:
-            ids = []
-        # sorted, so a repeat sits next to its twin
-        if not ids or ids[0] < 1 or ids[-1] > n or any(map(operator.eq, ids, ids[1:])):
-            problem = (_vertex_problem(vertex_tokens, n), lineno)
-            continue
-        vertices.append(tuple(map(shift, ids)))
-        weights.append(weight)
+            vertices.append(())
     if found != m:
         raise ParseError(
             f"header declares {m} edges but {found} edge lines found",
             extra_line if found > m else lineno,
         )
-    if problem is not None:
-        raise ParseError(*problem)
-    return Hypergraph(n, vertices, weights)
-
-
-def _weight_problem(token: str) -> str:
-    """Why ``token`` is not a positive finite weight."""
     try:
-        weight = float(token)
-    except ValueError:
-        return f"non-numeric weight token {token!r}"
-    if not weight > 0:
-        return f"edge weight must be positive, got {token}"
-    return f"edge weight must be finite, got {token}"
+        return Hypergraph(n, vertices, weights if fmt == 1 else [1.0] * m)
+    except InvalidInput:
+        for lineno, tokens in itertools.islice(_data_lines(text), 1, m + 1):
+            problem = _edge_problem(tokens, fmt, n)
+            if problem is not None:
+                raise ParseError(problem, lineno) from None
+        raise  # no edge is at fault: the total weight overflows
 
 
-def _vertex_problem(tokens: list[str], n: int) -> str:
-    """The first fault of an edge's vertex tokens, in line order."""
+def _data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of every line that carries data, lazily."""
+    return (
+        (lineno, tokens)
+        for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1)
+        if tokens and tokens[0][0] != "%"
+    )
+
+
+def _edge_problem(tokens: list[str], fmt: int, n: int) -> Optional[str]:
+    """The first fault of an edge line's tokens, in line order; None if the
+    line is a valid edge."""
+    if fmt == 1:
+        token = tokens[0]
+        try:
+            weight = float(token)
+        except ValueError:
+            return f"non-numeric weight token {token!r}"
+        if not weight > 0:
+            return f"edge weight must be positive, got {token}"
+        if weight == math.inf:
+            return f"edge weight must be finite, got {token}"
+        tokens = tokens[1:]
     if not tokens:
         return "edge has no vertices"
     seen = set()
@@ -164,7 +163,7 @@ def _vertex_problem(tokens: list[str], n: int) -> str:
         if v in seen and repeated is None:
             repeated = v
         seen.add(v)
-    return f"vertex id {repeated} repeated on one edge"
+    return None if repeated is None else f"vertex id {repeated} repeated on one edge"
 
 
 def serialize_hmetis(hg: Hypergraph) -> str:

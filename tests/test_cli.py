@@ -339,6 +339,17 @@ def test_oracle_subcommand(tmp_path, capsys) -> None:
     assert row["matching_edges"] == "1"
 
 
+def test_run_spec_is_complete_and_valid_when_built() -> None:
+    assert cli.RunSpec("x.hgr", algorithm="stack").epsilon == 0.0
+    assert cli.RunSpec("x.hgr", algorithm="swapset").alpha == "auto"
+    naive = cli.RunSpec("x.hgr", algorithm="naive")
+    assert (naive.epsilon, naive.alpha) == (None, None)
+    for bad in ({"algorithm": "bogus"}, {"algorithm": "naive", "epsilon": 0.5},
+                {"algorithm": "swapset", "alpha": "fast"}):
+        with pytest.raises(InvalidInput):
+            cli.RunSpec("x.hgr", **bad)
+
+
 def test_oracle_record_validates_its_spec() -> None:
     for source in (None, (3, 2, 2), (3.0, 2, 2, 10)):
         with pytest.raises(InvalidInput, match="source must be a file path or"):
@@ -443,6 +454,8 @@ def test_bad_flags_are_reported_as_json(capsys) -> None:
         (["run", "--gen", "5,5,2,10", "--algorithm", "naive", "--order", "bogus"], "--order"),
         (["grid", "--gen", "5,5,2,10"], "--algorithm"),
         (["oracle", "--gen", "5,5,2,10", "--max-edges", "x"], "--max-edges"),
+        (["run", "--gen", "5,5,2,10", "--algorithm", "swapset", "--alpha", "foo"],
+         "--alpha must be a number or 'auto', got 'foo'"),
         ([], "command"),
     ):
         code, out, err = run_cli(argv, capsys)

@@ -54,6 +54,8 @@ def test_hypergraph_rejects_vertex_out_of_range() -> None:
         (((0,),), (-2.0,)),
         (((0,),), (math.inf,)),
         (((0,),), (math.nan,)),
+        (((0, 1.5),), (1.0,)),  # not an int
+        (((True,),), (1.0,)),  # bool
     ],
 )
 def test_hypergraph_rejects_bad_arrays(vertices, weights) -> None:
@@ -64,6 +66,12 @@ def test_hypergraph_rejects_bad_arrays(vertices, weights) -> None:
 def test_hypergraph_rejects_negative_n() -> None:
     with pytest.raises(InvalidInput):
         Hypergraph(-1, (), ())
+
+
+@pytest.mark.parametrize("n", [3.0, True])
+def test_hypergraph_rejects_non_int_n(n) -> None:
+    with pytest.raises(InvalidInput):
+        Hypergraph(n, [(0,)], [1.0])
 
 
 def test_hypergraph_rejects_overflowing_total_weight() -> None:

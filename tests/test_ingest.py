@@ -76,6 +76,32 @@ def test_parse_errors_carry_line_numbers(text: str, line: int) -> None:
     assert f"line {line}:" in str(exc_info.value)
 
 
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("1 3 1\nx 1 2\n", 2, "non-numeric weight token 'x'"),
+        ("1 3 1\nnan 1 2\n", 2, "edge weight must be positive, got nan"),
+        ("1 3 1\ninf 1 2\n", 2, "edge weight must be finite, got inf"),
+        ("1 3\n1 x\n", 2, "non-numeric vertex token 'x'"),
+        ("1 3\n2 2 9\n", 2, "vertex id 9 outside 1..3"),  # the range fault wins
+        ("2 3\n1 1\nx\n", 2, "vertex id 1 repeated on one edge"),  # the first bad line
+        ("1 3 1\n5\n", 2, "edge has no vertices"),
+        ("1 3\n1 9\n1 2\n", 3, "header declares 1 edges but 2 edge lines found"),
+    ],
+)
+def test_parse_error_messages(text: str, line: int, message: str) -> None:
+    with pytest.raises(ParseError) as exc_info:
+        parse_hmetis(text)
+    assert str(exc_info.value) == f"line {line}: {message}"
+
+
+def test_parse_overflowing_total_weight_is_invalid_input() -> None:
+    # every edge is valid, so no line is at fault
+    with pytest.raises(InvalidInput) as exc_info:
+        parse_hmetis("2 4 1\n1.7e308 1 2\n1.7e308 3 4\n")
+    assert type(exc_info.value) is InvalidInput
+
+
 def test_parse_empty_input() -> None:
     with pytest.raises(ParseError):
         parse_hmetis("")
