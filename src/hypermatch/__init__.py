@@ -25,7 +25,7 @@ from .stack_matcher import (
     dual_upper_bound,
     run_stack_stream,
 )
-from .swap_matcher import SwapState, optimal_alpha, run_swapset, swapset_ratio
+from .swap_matcher import optimal_alpha, run_swapset, swapset_ratio
 from .baselines import run_greedy, run_naive
 from .oracle import (
     OracleLimits,
@@ -57,7 +57,6 @@ __all__ = [
     "dual_feasible",
     "dual_upper_bound",
     "run_stack_stream",
-    "SwapState",
     "optimal_alpha",
     "run_swapset",
     "swapset_ratio",

@@ -87,6 +87,9 @@ class RunSpec:
         if not (isinstance(source, str) or generated):
             raise InvalidInput(
                 f"source must be a file path or (n, m, d_max, w_max), got {source!r}")
+        for value, kind in ((self.weights, WeightScheme), (self.order, StreamOrder)):
+            if not isinstance(value, kind):
+                raise InvalidInput(f"expected a {kind.__name__}, got {value!r}")
         if self.algorithm not in KNOBS:
             raise InvalidInput(f"unknown algorithm {self.algorithm!r}")
         for knob, default in KNOB_DEFAULTS.items():
@@ -95,8 +98,15 @@ class RunSpec:
                     object.__setattr__(self, knob, default)
             elif getattr(self, knob) is not None:
                 raise InvalidInput(f"{knob} does not apply to {self.algorithm}")
-        if isinstance(self.alpha, str) and self.alpha != "auto":
+        # bool is an int subclass; as a knob value it is a caller's error
+        if self.epsilon is not None and not _is_number(self.epsilon):
+            raise InvalidInput(f"epsilon must be a number, got {self.epsilon!r}")
+        if self.alpha not in (None, "auto") and not _is_number(self.alpha):
             raise InvalidInput(f"alpha must be a number or 'auto', got {self.alpha!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -176,8 +186,6 @@ def logical_memory(algorithm: str, hg: Hypergraph, metrics: RunMetrics) -> int:
     stack nothing, so their ``peak_stack_pins`` is 0); greedy must keep
     every pin of the instance in order to sort it.
     """
-    if algorithm not in KNOBS:
-        raise InvalidInput(f"unknown algorithm {algorithm!r}")
     return hg.total_pins if algorithm == "greedy" else metrics.peak_stack_pins + hg.n
 
 

@@ -107,10 +107,6 @@ class Hypergraph:
             weights.append(w)
         return cls(n, vertices, weights)
 
-    def with_weights(self, weights: Iterable[float]) -> "Hypergraph":
-        """A copy of this hypergraph with the given per-edge weights."""
-        return Hypergraph(self.n, self.vertices, tuple(weights))
-
 
 @dataclass(frozen=True)
 class Matching:

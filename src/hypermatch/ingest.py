@@ -200,9 +200,10 @@ def synthesize_weights(hg: Hypergraph, scheme: WeightScheme) -> Hypergraph:
     if scheme is WeightScheme.FROM_FILE or hg.m == 0:
         return hg
     if scheme is WeightScheme.UNIT:
-        return hg.with_weights([1.0] * hg.m)
+        return Hypergraph(hg.n, hg.vertices, [1.0] * hg.m)
     if scheme is WeightScheme.SIZE_COMPLEMENT:
-        return hg.with_weights([float(hg.d - len(verts) + 1) for verts in hg.vertices])
+        weights = [float(hg.d - len(verts) + 1) for verts in hg.vertices]
+        return Hypergraph(hg.n, hg.vertices, weights)
     raise InvalidInput(f"unknown weight scheme {scheme!r}")
 
 

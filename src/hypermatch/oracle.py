@@ -23,6 +23,7 @@ to handle large inputs here.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .core import Hypergraph, InvalidInput, Matching
@@ -61,9 +62,10 @@ def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None
     """Maximum-weight matching by branch-and-bound.
 
     Raises TooLarge when the instance has more than ``limits.max_edges``
-    edges or the search would visit more than ``limits.max_nodes_expanded``
-    nodes.  Equal-weight optima are resolved toward the lexicographically
-    smallest sorted edge-id tuple.
+    edges, the search would visit more than ``limits.max_nodes_expanded``
+    nodes, or it would nest deeper than the interpreter's recursion limit.
+    Equal-weight optima are resolved toward the lexicographically smallest
+    sorted edge-id tuple.
     """
     limits = limits or OracleLimits()
     if hg.m > limits.max_edges:
@@ -119,7 +121,13 @@ def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None
         chosen.pop()
         visit(rest, current, bound - weights[i])
 
-    visit((1 << len(order)) - 1, 0, sum(weights))
+    try:
+        visit((1 << len(order)) - 1, 0, sum(weights))
+    except RecursionError:
+        # visit recurses once per decision, so a deep search outgrows the stack
+        raise TooLarge(
+            f"search deeper than the recursion limit of {sys.getrecursionlimit()}"
+        ) from None
     return Matching.from_edge_ids(hg, best_ids)
 
 

@@ -13,13 +13,7 @@ certificate: ``(1 + epsilon) * total potential`` bounds the weight of every
 matching, so the result is within ``1 / (d * (1 + epsilon))`` of optimal
 for instances of maximum edge size d.  LENIENT spreads the surplus evenly
 across the endpoints (``(W(e) - sum) / |e|``), admitting more edges at the
-price of that certificate.
-
-:func:`run_stack_stream` does each edge's work inline, on the flat arrays
-held in local variables.  :func:`admit` is the per-edge reference for that
-loop body: it performs the same float operations in the same order, so
-folded over a stream it gives bit-identical potentials.  ``epsilon`` must
-be finite and non-negative.
+price of that certificate.  ``epsilon`` must be finite and non-negative.
 """
 
 from __future__ import annotations
@@ -52,31 +46,6 @@ class DualState:
         return cls([0.0] * n, epsilon)
 
 
-def admit(dual: DualState, hg: Hypergraph, eid: int, rule: UpdateRule) -> bool:
-    """Apply the admission rule to edge ``eid``; return whether it is admitted.
-
-    Sums the potentials of the edge's vertices left to right over its sorted
-    vertex tuple and admits the edge when ``W(e) >= (1 + epsilon) * sum``;
-    equality admits.  An admitted edge adds the surplus ``W(e) - sum`` to
-    every vertex under GUARANTEE, or the surplus over the edge size under
-    LENIENT, so potentials never decrease.
-    """
-    verts = hg.vertices[eid]
-    potentials = dual.potentials
-    covered = 0.0
-    for v in verts:
-        covered += potentials[v]
-    w = hg.weights[eid]
-    if not w >= (1.0 + dual.epsilon) * covered:
-        return False
-    surplus = w - covered
-    if rule is UpdateRule.LENIENT:
-        surplus /= len(verts)
-    for v in verts:
-        potentials[v] += surplus
-    return True
-
-
 def run_stack_stream(
     hg: Hypergraph,
     stream: Iterable[int],
@@ -102,7 +71,6 @@ def run_stack_stream(
     lenient = rule is UpdateRule.LENIENT
 
     start = time.perf_counter_ns()
-    # admit, inlined
     for eid in stream:
         verts = vertices[eid]
         covered = 0.0

@@ -10,63 +10,15 @@ For ``alpha > 0`` the final matching is within ``swapset_ratio(alpha, d)``
 of optimal on instances of maximum edge size ``d``; :func:`optimal_alpha`
 gives the ratio-maximising choice.  With ``alpha = 0`` equal-weight swaps
 fire and no ratio is guaranteed.  ``alpha`` must be finite.
-
-:func:`run_swapset` does each edge's work inline, on the flat arrays held
-in local variables; :func:`try_swap` is the per-edge reference for that
-loop body, and folding it over a stream gives the same matching.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import Hypergraph, InvalidInput, Matching, RunMetrics, check_stream
-
-
-@dataclass
-class SwapState:
-    """Per-vertex reference to the covering matched edge, plus alpha."""
-
-    best: list[Optional[int]]
-    alpha: float
-
-    @classmethod
-    def empty(cls, hg: Hypergraph, alpha: float) -> "SwapState":
-        if not 0 <= alpha < math.inf:
-            raise InvalidInput(f"alpha must be non-negative and finite, got {alpha}")
-        return cls([None] * hg.n, alpha)
-
-    def matched_ids(self) -> list[int]:
-        """Distinct ids of the currently matched edges, ascending."""
-        return sorted({eid for eid in self.best if eid is not None})
-
-
-def try_swap(state: SwapState, hg: Hypergraph, eid: int) -> Optional[list[int]]:
-    """Swap edge ``eid`` in if it outweighs its conflicts by ``1 + alpha``.
-
-    The conflicts are the distinct matched edges sharing a vertex with the
-    edge, taken in ascending id order and their weights summed in that
-    order.  The swap fires when ``W(e) >= (1 + alpha) * W(conflicts)``, so
-    an edge touching only free vertices always enters: the conflicting
-    edges are cleared before the new edge claims its vertices.  Returns the
-    evicted ids, ascending, when the swap fires and None when it holds.
-    """
-    vertices, weights, best = hg.vertices, hg.weights, state.best
-    conflicts = sorted({best[v] for v in vertices[eid] if best[v] is not None})
-    conflict_weight = 0.0
-    for other in conflicts:
-        conflict_weight += weights[other]
-    if weights[eid] < (1.0 + state.alpha) * conflict_weight:
-        return None
-    for other in conflicts:
-        for v in vertices[other]:
-            best[v] = None
-    for v in vertices[eid]:
-        best[v] = eid
-    return conflicts
 
 
 def run_swapset(
@@ -79,15 +31,15 @@ def run_swapset(
     ``metrics.swaps`` counts evicted edges.
     """
     stream = check_stream(hg, stream)
-    state = SwapState.empty(hg, alpha)
-    best = state.best
+    if not 0 <= alpha < math.inf:
+        raise InvalidInput(f"alpha must be non-negative and finite, got {alpha}")
+    best: list[Optional[int]] = [None] * hg.n
     vertices, weights = hg.vertices, hg.weights
     scale = 1.0 + alpha
     metrics = RunMetrics()
 
     start = time.perf_counter_ns()
     fired = 0
-    # try_swap, inlined
     for eid in stream:
         verts = vertices[eid]
         owners = []
@@ -111,7 +63,7 @@ def run_swapset(
         for v in verts:
             best[v] = eid
         fired += 1
-    matched = state.matched_ids()
+    matched = {eid for eid in best if eid is not None}
     metrics.runtime_ns = time.perf_counter_ns() - start
 
     # Every fired swap adds one edge and evicts its conflicts, so the edges

@@ -1,0 +1,72 @@
+"""Per-edge references for the streaming kernels' loop bodies.
+
+``run_stack_stream`` and ``run_swapset`` each do an edge's work inline in
+their loop.  The functions here restate that work one edge at a time, with
+the same float operations in the same order, so the tests can step a
+stream by hand and check the kernels against the fold.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from hypermatch.core import Hypergraph
+from hypermatch.stack_matcher import DualState, UpdateRule
+
+
+def admit(dual: DualState, hg: Hypergraph, eid: int, rule: UpdateRule) -> bool:
+    """Apply the stack's admission rule to edge ``eid``; return whether it is admitted.
+
+    Sums the potentials of the edge's vertices left to right over its sorted
+    vertex tuple and admits the edge when ``W(e) >= (1 + epsilon) * sum``;
+    equality admits.  An admitted edge adds the surplus ``W(e) - sum`` to
+    every vertex under GUARANTEE, or the surplus over the edge size under
+    LENIENT, so potentials never decrease.
+    """
+    verts = hg.vertices[eid]
+    potentials = dual.potentials
+    covered = 0.0
+    for v in verts:
+        covered += potentials[v]
+    w = hg.weights[eid]
+    if not w >= (1.0 + dual.epsilon) * covered:
+        return False
+    surplus = w - covered
+    if rule is UpdateRule.LENIENT:
+        surplus /= len(verts)
+    for v in verts:
+        potentials[v] += surplus
+    return True
+
+
+def try_swap(
+    best: list[Optional[int]], alpha: float, hg: Hypergraph, eid: int
+) -> Optional[list[int]]:
+    """Swap edge ``eid`` in if it outweighs its conflicts by ``1 + alpha``.
+
+    ``best[v]`` is the matched edge covering vertex ``v``, or None.  The
+    conflicts are the distinct matched edges sharing a vertex with the
+    edge, taken in ascending id order and their weights summed in that
+    order.  The swap fires when ``W(e) >= (1 + alpha) * W(conflicts)``, so
+    an edge touching only free vertices always enters: the conflicting
+    edges are cleared before the new edge claims its vertices.  Returns the
+    evicted ids, ascending, when the swap fires and None when it holds.
+    """
+    vertices, weights = hg.vertices, hg.weights
+    conflicts = sorted({best[v] for v in vertices[eid] if best[v] is not None})
+    conflict_weight = 0.0
+    for other in conflicts:
+        conflict_weight += weights[other]
+    if weights[eid] < (1.0 + alpha) * conflict_weight:
+        return None
+    for other in conflicts:
+        for v in vertices[other]:
+            best[v] = None
+    for v in vertices[eid]:
+        best[v] = eid
+    return conflicts
+
+
+def matched_ids(best: list[Optional[int]]) -> list[int]:
+    """Distinct ids of the edges ``best`` holds, ascending."""
+    return sorted({eid for eid in best if eid is not None})

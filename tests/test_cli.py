@@ -345,7 +345,13 @@ def test_run_spec_is_complete_and_valid_when_built() -> None:
     naive = cli.RunSpec("x.hgr", algorithm="naive")
     assert (naive.epsilon, naive.alpha) == (None, None)
     for bad in ({"algorithm": "bogus"}, {"algorithm": "naive", "epsilon": 0.5},
-                {"algorithm": "swapset", "alpha": "fast"}):
+                {"algorithm": "swapset", "alpha": "fast"},
+                # fields of the wrong type
+                {"order": "random"}, {"weights": "unit"},
+                {"algorithm": "stack", "epsilon": "0.5"},
+                {"algorithm": "stack", "epsilon": False},
+                {"algorithm": "swapset", "alpha": True},
+                {"algorithm": "swapset", "alpha": [0.5]}):
         with pytest.raises(InvalidInput):
             cli.RunSpec("x.hgr", **bad)
 

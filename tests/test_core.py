@@ -79,16 +79,7 @@ def test_hypergraph_rejects_overflowing_total_weight() -> None:
         Hypergraph.build(4, [((0, 1), 1.7e308), ((2, 3), 1.7e308)])
     hg = Hypergraph.build(4, [((0, 1), 1.7e308), ((2, 3), 1.0)])
     with pytest.raises(InvalidInput):
-        hg.with_weights([1.7e308, 1.7e308])
-
-
-def test_with_weights_replaces_weights() -> None:
-    hg = Hypergraph.build(3, [((0, 1), 1.0), ((1, 2), 2.0)])
-    hg2 = hg.with_weights([5.0, 7.0])
-    assert list(hg2.weights) == [5.0, 7.0]
-    assert list(hg2.vertices) == [(0, 1), (1, 2)]
-    with pytest.raises(InvalidInput):
-        hg.with_weights([1.0])
+        Hypergraph(hg.n, hg.vertices, [1.7e308, 1.7e308])
 
 
 def test_matching_from_edge_ids() -> None:

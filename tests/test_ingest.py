@@ -134,6 +134,7 @@ def test_synthesize_unit() -> None:
     hg = parse_hmetis("2 3 1\n5 1 2\n7 2 3\n")
     unit = synthesize_weights(hg, WeightScheme.UNIT)
     assert list(unit.weights) == [1.0, 1.0]
+    assert (unit.n, unit.vertices) == (hg.n, hg.vertices)
 
 
 def test_synthesize_from_file_is_identity() -> None:

@@ -114,6 +114,13 @@ def test_exact_node_expansion_cap_triggers() -> None:
         exact_max_weight_matching(hg, OracleLimits(max_nodes_expanded=100))
 
 
+def test_exact_refuses_a_search_deeper_than_the_recursion_limit() -> None:
+    # the search nests one call per decision: 1500 disjoint edges go 1500 deep
+    hg = Hypergraph(3000, [(2 * i, 2 * i + 1) for i in range(1500)], [1.0] * 1500)
+    with pytest.raises(TooLarge, match="recursion limit"):
+        exact_max_weight_matching(hg, OracleLimits(max_edges=5000))
+
+
 def test_exhaustive_refuses_beyond_cap() -> None:
     hg = Hypergraph.build(50, [((2 * i, 2 * i + 1), 1.0) for i in range(21)])
     with pytest.raises(TooLarge):

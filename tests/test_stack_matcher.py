@@ -11,13 +11,13 @@ from hypermatch.oracle import exact_max_weight_matching
 from hypermatch.stack_matcher import (
     DualState,
     UpdateRule,
-    admit,
     dual_feasible,
     dual_upper_bound,
     run_stack_stream,
 )
 
 from conftest import random_instances, stream_forms, with_decimal_weights
+from reference import admit
 
 
 def two_edge_path() -> Hypergraph:

@@ -8,15 +8,10 @@ import pytest
 
 from hypermatch.core import Hypergraph, InvalidInput, Matching, validate_matching
 from hypermatch.ingest import StreamOrder, order_stream
-from hypermatch.swap_matcher import (
-    SwapState,
-    optimal_alpha,
-    run_swapset,
-    swapset_ratio,
-    try_swap,
-)
+from hypermatch.swap_matcher import optimal_alpha, run_swapset, swapset_ratio
 
 from conftest import random_instances, stream_forms, with_decimal_weights
+from reference import matched_ids, try_swap
 
 
 def overlap_pair() -> Hypergraph:
@@ -25,58 +20,58 @@ def overlap_pair() -> Hypergraph:
 
 def test_try_swap_into_empty_state_evicts_nothing() -> None:
     hg = overlap_pair()
-    state = SwapState.empty(hg, 0.5)
-    assert try_swap(state, hg, 0) == []
-    assert state.best == [0, 0, None]
+    best = [None] * hg.n
+    assert try_swap(best, 0.5, hg, 0) == []
+    assert best == [0, 0, None]
 
 
 def test_try_swap_evictions_are_deduplicated_and_sorted() -> None:
     # edge 2 meets edge 1 on vertices 0 and 1, then edge 0 on vertices 2 and 3
     hg = Hypergraph.build(4, [((2, 3), 1.0), ((0, 1), 1.0), ((0, 1, 2, 3), 9.0)])
-    state = SwapState.empty(hg, 0.0)
-    assert try_swap(state, hg, 0) == []
-    assert try_swap(state, hg, 1) == []
-    assert try_swap(state, hg, 2) == [0, 1]
-    assert state.best == [2, 2, 2, 2]
+    best = [None] * hg.n
+    assert try_swap(best, 0.0, hg, 0) == []
+    assert try_swap(best, 0.0, hg, 1) == []
+    assert try_swap(best, 0.0, hg, 2) == [0, 1]
+    assert best == [2, 2, 2, 2]
 
 
 def test_try_swap_fires_at_low_alpha() -> None:
     hg = overlap_pair()
-    state = SwapState.empty(hg, 0.4)
-    assert try_swap(state, hg, 0) == []
-    assert try_swap(state, hg, 1) == [0]  # 3 >= 1.4 * 2
-    assert state.best == [None, 1, 1]
-    assert state.matched_ids() == [1]
+    best = [None] * hg.n
+    assert try_swap(best, 0.4, hg, 0) == []
+    assert try_swap(best, 0.4, hg, 1) == [0]  # 3 >= 1.4 * 2
+    assert best == [None, 1, 1]
+    assert matched_ids(best) == [1]
 
 
 def test_try_swap_holds_at_high_alpha() -> None:
     hg = overlap_pair()
-    state = SwapState.empty(hg, 1.0)
-    assert try_swap(state, hg, 0) == []
-    assert try_swap(state, hg, 1) is None  # 3 < 2 * 2
-    assert state.best == [0, 0, None]
+    best = [None] * hg.n
+    assert try_swap(best, 1.0, hg, 0) == []
+    assert try_swap(best, 1.0, hg, 1) is None  # 3 < 2 * 2
+    assert best == [0, 0, None]
 
 
 def test_try_swap_alpha_zero_trades_equal_weight() -> None:
     hg = Hypergraph.build(2, [((0, 1), 2.0), ((0, 1), 2.0)])
-    state = SwapState.empty(hg, 0.0)
-    assert try_swap(state, hg, 0) == []
-    assert try_swap(state, hg, 1) == [0]
-    assert state.matched_ids() == [1]
-    strict = SwapState.empty(hg, 0.1)
-    assert try_swap(strict, hg, 0) == []
-    assert try_swap(strict, hg, 1) is None  # 2 < 2.2
+    best = [None] * hg.n
+    assert try_swap(best, 0.0, hg, 0) == []
+    assert try_swap(best, 0.0, hg, 1) == [0]
+    assert matched_ids(best) == [1]
+    strict = [None] * hg.n
+    assert try_swap(strict, 0.1, hg, 0) == []
+    assert try_swap(strict, 0.1, hg, 1) is None  # 2 < 2.2
 
 
 def test_try_swap_evicts_whole_conflicting_edges() -> None:
     hg = Hypergraph.build(
         4, [((0, 1), 1.0), ((2, 3), 1.0), ((1, 2), 5.0)]
     )
-    state = SwapState.empty(hg, 0.5)
-    assert try_swap(state, hg, 0) == []
-    assert try_swap(state, hg, 1) == []
-    assert try_swap(state, hg, 2) == [0, 1]  # 5 >= 1.5 * 2, evicts both
-    assert state.best == [None, 2, 2, None]
+    best = [None] * hg.n
+    assert try_swap(best, 0.5, hg, 0) == []
+    assert try_swap(best, 0.5, hg, 1) == []
+    assert try_swap(best, 0.5, hg, 2) == [0, 1]  # 5 >= 1.5 * 2, evicts both
+    assert best == [None, 2, 2, None]
 
 
 def test_run_swapset_counts_evictions() -> None:
@@ -107,10 +102,10 @@ def test_conflict_weight_sums_in_ascending_id_order() -> None:
     # ascending id they weigh 0.6000000000000001, so a 0.6 edge must not
     # swap in at alpha 0 (summed in vertex order they would weigh 0.6)
     hg = Hypergraph.build(3, [((2,), 0.1), ((1,), 0.2), ((0,), 0.3), ((0, 1, 2), 0.6)])
-    state = SwapState.empty(hg, 0.0)
+    best = [None] * hg.n
     for eid in range(3):
-        assert try_swap(state, hg, eid) == []
-    assert try_swap(state, hg, 3) is None
+        assert try_swap(best, 0.0, hg, eid) == []
+    assert try_swap(best, 0.0, hg, 3) is None
     matching, metrics = run_swapset(hg, [0, 1, 2, 3], 0.0)
     assert matching.edge_ids == frozenset({0, 1, 2})
     assert metrics.swaps == 0
@@ -120,10 +115,8 @@ def test_run_swapset_rejects_bad_inputs() -> None:
     hg = overlap_pair()
     with pytest.raises(InvalidInput):
         run_swapset(hg, [0], 0.5)
-    with pytest.raises(InvalidInput):
-        run_swapset(hg, [0, 1], -0.5)
-    for alpha in (math.nan, math.inf, -math.inf):
-        with pytest.raises(InvalidInput):
+    for alpha in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput, match="alpha must be non-negative and finite"):
             run_swapset(hg, [0, 1], alpha)
 
 
@@ -131,17 +124,17 @@ def test_state_stays_consistent_after_every_step() -> None:
     # a vertex referencing an edge must be one of that edge's vertices, and
     # every vertex of a referenced edge must reference it back
     for hg in random_instances(80, meta_seed=301):
-        state = SwapState.empty(hg, 0.3)
+        best = [None] * hg.n
         for eid in range(hg.m):
-            try_swap(state, hg, eid)
-            live = state.matched_ids()
+            try_swap(best, 0.3, hg, eid)
+            live = matched_ids(best)
             assert len(live) <= hg.n
-            for v, eid in enumerate(state.best):
+            for v, eid in enumerate(best):
                 if eid is not None:
                     assert v in hg.vertices[eid]
             for eid in live:
                 for v in hg.vertices[eid]:
-                    assert state.best[v] == eid
+                    assert best[v] == eid
             Matching.from_edge_ids(hg, live)  # raises if not disjoint
 
 
@@ -151,10 +144,10 @@ def test_swaps_count_the_conflicts_of_fired_swaps() -> None:
         for alpha in (0.0, 0.3, 1.0):
             for order in StreamOrder:
                 stream = order_stream(hg, order, seed=37)
-                state = SwapState.empty(hg, alpha)
+                best = [None] * hg.n
                 evicted = 0
                 for eid in stream:
-                    evictions = try_swap(state, hg, eid)
+                    evictions = try_swap(best, alpha, hg, eid)
                     if evictions is not None:
                         evicted += len(evictions)
                 _, metrics = run_swapset(hg, stream, alpha)
@@ -237,12 +230,12 @@ def test_run_matches_the_try_swap_fold() -> None:
         for alpha in (0.0, 0.3, optimal_alpha(max(hg.d, 1))):
             for order in StreamOrder:
                 stream = order_stream(hg, order, seed=43)
-                state = SwapState.empty(hg, alpha)
+                best = [None] * hg.n
                 evicted = 0
                 for eid in stream:
-                    evictions = try_swap(state, hg, eid)
+                    evictions = try_swap(best, alpha, hg, eid)
                     if evictions is not None:
                         evicted += len(evictions)
                 matching, metrics = run_swapset(hg, stream, alpha)
-                assert matching == Matching.from_edge_ids(hg, state.matched_ids())
+                assert matching == Matching.from_edge_ids(hg, matched_ids(best))
                 assert metrics.swaps == evicted
