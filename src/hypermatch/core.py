@@ -133,8 +133,9 @@ class Matching:
         ids = sorted(set(edge_ids))
         owner: list[Optional[int]] = [None] * hg.n
         total = 0.0
+        m = hg.m
         for eid in ids:
-            if not 0 <= eid < hg.m:
+            if not 0 <= eid < m:
                 raise InvalidInput(f"unknown edge id {eid}")
             for v in hg.vertices[eid]:
                 if owner[v] is not None:
@@ -200,8 +201,9 @@ def matching_weight(hg: Hypergraph, edge_ids: Iterable[int]) -> float:
     of ``edge_ids``.  Unknown ids raise InvalidInput.
     """
     total = 0.0
+    m = hg.m
     for eid in sorted(set(edge_ids)):
-        if not 0 <= eid < hg.m:
+        if not 0 <= eid < m:
             raise InvalidInput(f"unknown edge id {eid}")
         total += hg.weights[eid]
     return total
@@ -214,8 +216,9 @@ def validate_matching(hg: Hypergraph, matching: Matching) -> bool:
     weight agrees with recomputation within relative tolerance 1e-12.
     Unknown edge ids raise InvalidInput rather than returning False.
     """
+    m = hg.m
     for eid in matching.edge_ids:
-        if not 0 <= eid < hg.m:
+        if not 0 <= eid < m:
             raise InvalidInput(f"unknown edge id {eid}")
     covered = [False] * hg.n
     for eid in matching.edge_ids:

@@ -7,6 +7,14 @@ raise the potentials of their vertices.  After the stream ends the stack is
 unwound last-in-first-out, taking each popped edge whose vertices are all
 still free: first-fit over the reversed stack.
 
+The potential sum of an edge stops at the first pin where the running sum
+already fails ``W(e) >= (1 + epsilon) * sum``, and the edge is rejected.
+That cannot change a decision: potentials are never negative, so the
+rounded running sum never falls as pins are added, and
+``(1 + epsilon) * x`` rounds monotonically in ``x``.  An admitted edge has
+summed every pin.  The per-edge reference in the tests always takes the
+full sum.
+
 Two update rules are supported.  GUARANTEE adds the full surplus
 ``W(e) - sum`` to every endpoint, which makes the scaled potentials a
 certificate: ``(1 + epsilon) * total potential`` bounds the weight of every
@@ -73,20 +81,22 @@ def run_stack_stream(
     start = time.perf_counter_ns()
     for eid in stream:
         verts = vertices[eid]
+        w = weights[eid]
         covered = 0.0
         for v in verts:
             covered += potentials[v]
-        w = weights[eid]
-        if not w >= scale * covered:
-            continue
-        stack.append(eid)
-        surplus = w - covered
-        if lenient:
-            surplus /= len(verts)
-        stack_pins += len(verts)
-        for v in verts:
-            potentials[v] += surplus
-            pushes_per_vertex[v] += 1
+            # potentials are never negative, so no later pin lowers the sum
+            if not w >= scale * covered:
+                break
+        else:
+            stack.append(eid)
+            surplus = w - covered
+            if lenient:
+                surplus /= len(verts)
+            stack_pins += len(verts)
+            for v in verts:
+                potentials[v] += surplus
+                pushes_per_vertex[v] += 1
     chosen = first_fit(hg, reversed(stack))
     metrics.runtime_ns = time.perf_counter_ns() - start
 

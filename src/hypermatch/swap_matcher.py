@@ -6,6 +6,15 @@ their place exactly when its weight is at least ``(1 + alpha)`` times
 their combined weight.  Memory is one edge reference per vertex, so the
 live state never exceeds the vertex count regardless of stream length.
 
+The owner scan stops at the first owner that alone decides the edge,
+``W(e) < (1 + alpha) * W(owner)``, and the edge is rejected with no sort
+and no sum.  That cannot change a decision: weights are positive, so the
+combined weight, rounded in any order, is at least each of its terms, and
+``(1 + alpha) * x`` rounds monotonically in ``x``.  A lone owner is
+decided in the scan, since its sum is its own weight; two or more are
+summed in ascending id order before the final test.  The per-edge
+reference in the tests always takes the full sum.
+
 For ``alpha > 0`` the final matching is within ``swapset_ratio(alpha, d)``
 of optimal on instances of maximum edge size ``d``; :func:`optimal_alpha`
 gives the ratio-maximising choice.  With ``alpha = 0`` equal-weight swaps
@@ -42,27 +51,32 @@ def run_swapset(
     fired = 0
     for eid in stream:
         verts = vertices[eid]
+        w = weights[eid]
         owners = []
         for v in verts:
             other = best[v]
             if other is not None and other not in owners:
+                # one owner that outweighs the edge already decides it:
+                # the full conflict sum is no smaller than this term
+                if w < scale * weights[other]:
+                    break
                 owners.append(other)
-        # with no owners the conflict weight is 0.0, which a positive
-        # weight always clears, so the edge enters without the comparison
-        if owners:
+        else:
+            # with no owner a positive weight always enters, and a lone
+            # owner's sum is its own weight, already tested in the scan
             if len(owners) > 1:
                 owners.sort()
-            conflict_weight = 0.0
-            for other in owners:
-                conflict_weight += weights[other]
-            if weights[eid] < scale * conflict_weight:
-                continue
+                conflict_weight = 0.0
+                for other in owners:
+                    conflict_weight += weights[other]
+                if w < scale * conflict_weight:
+                    continue
             for other in owners:
                 for v in vertices[other]:
                     best[v] = None
-        for v in verts:
-            best[v] = eid
-        fired += 1
+            for v in verts:
+                best[v] = eid
+            fired += 1
     matched = {eid for eid in best if eid is not None}
     metrics.runtime_ns = time.perf_counter_ns() - start
 

@@ -7,6 +7,7 @@ frozen test surface: changing it changes which instances are covered.
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 
@@ -42,6 +43,18 @@ def with_decimal_weights(hg: Hypergraph, seed: int) -> Hypergraph:
     rng = random.Random(seed)
     weights = [round(rng.uniform(0.1, 10.0), rng.randint(1, 3)) for _ in range(hg.m)]
     return Hypergraph(hg.n, hg.vertices, weights)
+
+
+# Base weights for the near-threshold fold inputs.  For each fold alpha
+# and epsilon other than 0 and 1, at least one of them has a threshold
+# product t = (1 + x) * W, or the float just below it, for which
+# t / (1 + x) < W disagrees with t < (1 + x) * W.
+NEAR_THRESHOLD_BASES = (1.0, 0.9, 1.5, 7.0)
+
+
+def ulp_neighbours(x: float) -> tuple[float, float, float]:
+    """The float one ulp below ``x``, ``x`` itself, and the float one ulp above."""
+    return math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)
 
 
 def stream_forms(stream: list[int]) -> list:

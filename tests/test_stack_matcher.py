@@ -16,7 +16,13 @@ from hypermatch.stack_matcher import (
     run_stack_stream,
 )
 
-from conftest import random_instances, stream_forms, with_decimal_weights
+from conftest import (
+    NEAR_THRESHOLD_BASES,
+    random_instances,
+    stream_forms,
+    ulp_neighbours,
+    with_decimal_weights,
+)
 from reference import admit
 
 
@@ -252,11 +258,49 @@ def reference_stack_run(
     return dual, stack
 
 
+FOLD_EPSILONS = (0.0, 0.1, 1.0)
+
+# Each layout is singleton edges (weights as multiples of a base weight)
+# and a last edge over their vertices.  A singleton meets no potential, so
+# under either rule it raises its vertex's potential by its own weight;
+# the last edge's running potential sum then passes through one prefix per
+# pin, including a pin of potential zero.
+STACK_LAYOUTS = [
+    ([(0,), (1,), (2,)], [1.0, 1.0, 1.0], (0, 1, 2, 3)),
+    ([(0,), (2,)], [1.0, 0.375], (0, 1, 2)),
+]
+
+
+def near_threshold_stack_instances() -> list[Hypergraph]:
+    """Instances whose last edge weighs one ulp below, at, or one ulp above
+    ``(1 + epsilon)`` times each prefix of its potential sum, for each fold
+    epsilon, so the sum crosses ``W(e) / (1 + epsilon)`` at each of its pins."""
+    instances = []
+    for singles, multiples, arrival in STACK_LAYOUTS:
+        for base in NEAR_THRESHOLD_BASES:
+            weights = [base * k for k in multiples]
+            potentials = [0.0] * 4
+            for (v,), w in zip(singles, weights):
+                potentials[v] = w
+            prefixes = []
+            covered = 0.0
+            for v in arrival:
+                covered += potentials[v]
+                if covered not in prefixes:
+                    prefixes.append(covered)
+            for epsilon in FOLD_EPSILONS:
+                for prefix in prefixes:
+                    for w in ulp_neighbours((1.0 + epsilon) * prefix):
+                        instances.append(Hypergraph(4, [*singles, arrival], [*weights, w]))
+    return instances
+
+
 def test_run_matches_the_helper_fold() -> None:
     instances = random_instances(40, meta_seed=207, n_max=30, m_max=60, d_cap=5)
     instances += [with_decimal_weights(hg, seed) for seed, hg in enumerate(instances)]
+    instances += near_threshold_stack_instances()
     for hg in instances:
-        for epsilon in (0.0, 0.1, 1.0):
+        for epsilon in FOLD_EPSILONS:
             for rule in UpdateRule:
                 for order in StreamOrder:
                     stream = order_stream(hg, order, seed=19)

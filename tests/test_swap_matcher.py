@@ -10,7 +10,13 @@ from hypermatch.core import Hypergraph, InvalidInput, Matching, validate_matchin
 from hypermatch.ingest import StreamOrder, order_stream
 from hypermatch.swap_matcher import optimal_alpha, run_swapset, swapset_ratio
 
-from conftest import random_instances, stream_forms, with_decimal_weights
+from conftest import (
+    NEAR_THRESHOLD_BASES,
+    random_instances,
+    stream_forms,
+    ulp_neighbours,
+    with_decimal_weights,
+)
 from reference import matched_ids, try_swap
 
 
@@ -223,11 +229,47 @@ def test_optimal_alpha_maximizes_the_ratio() -> None:
             assert swapset_ratio(alpha, d) <= best + 1e-12
 
 
+def fold_alphas(d: int) -> tuple[float, ...]:
+    return (0.0, 0.3, optimal_alpha(max(d, 1)))
+
+
+# Each layout is the edges matched first (vertex tuples, weights as
+# multiples of a base weight), the arriving edge that meets them, and the
+# owners whose weight, summed by ascending id, decides that edge: one owner;
+# a heavy owner met before or after a light one; two owners that decide
+# only together; one owner met on two pins.
+SWAP_LAYOUTS = [
+    ([(0, 1)], [1.0], (1, 2), [0]),
+    ([(0, 1), (2, 3)], [1.0, 0.125], (1, 2), [0]),
+    ([(0, 1), (2, 3)], [0.125, 1.0], (1, 2), [1]),
+    ([(0, 1), (2, 3)], [1.0, 1.0], (1, 2), [0, 1]),
+    ([(0, 1, 2)], [1.0], (1, 2, 3), [0]),
+]
+
+
+def near_threshold_swap_instances() -> list[Hypergraph]:
+    """Instances whose last edge weighs one ulp below, at, or one ulp above
+    ``(1 + alpha)`` times its deciding owners' weight, for each fold alpha."""
+    instances = []
+    for matched, multiples, arrival, deciders in SWAP_LAYOUTS:
+        d = max(len(verts) for verts in [*matched, arrival])
+        for base in NEAR_THRESHOLD_BASES:
+            weights = [base * k for k in multiples]
+            owner_weight = 0.0
+            for other in deciders:
+                owner_weight += weights[other]
+            for alpha in fold_alphas(d):
+                for w in ulp_neighbours((1.0 + alpha) * owner_weight):
+                    instances.append(Hypergraph(4, [*matched, arrival], [*weights, w]))
+    return instances
+
+
 def test_run_matches_the_try_swap_fold() -> None:
     instances = random_instances(40, meta_seed=306, n_max=30, m_max=60, d_cap=5)
     instances += [with_decimal_weights(hg, seed) for seed, hg in enumerate(instances)]
+    instances += near_threshold_swap_instances()
     for hg in instances:
-        for alpha in (0.0, 0.3, optimal_alpha(max(hg.d, 1))):
+        for alpha in fold_alphas(hg.d):
             for order in StreamOrder:
                 stream = order_stream(hg, order, seed=43)
                 best = [None] * hg.n
