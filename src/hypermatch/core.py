@@ -134,16 +134,17 @@ class Matching:
         owner: list[Optional[int]] = [None] * hg.n
         total = 0.0
         m = hg.m
+        vertices, weights = hg.vertices, hg.weights
         for eid in ids:
             if not 0 <= eid < m:
                 raise InvalidInput(f"unknown edge id {eid}")
-            for v in hg.vertices[eid]:
+            for v in vertices[eid]:
                 if owner[v] is not None:
                     raise InvalidInput(
                         f"edges {owner[v]} and {eid} both cover vertex {v}"
                     )
                 owner[v] = eid
-            total += hg.weights[eid]
+            total += weights[eid]
         return cls(frozenset(ids), total)
 
 
@@ -202,10 +203,11 @@ def matching_weight(hg: Hypergraph, edge_ids: Iterable[int]) -> float:
     """
     total = 0.0
     m = hg.m
+    weights = hg.weights
     for eid in sorted(set(edge_ids)):
         if not 0 <= eid < m:
             raise InvalidInput(f"unknown edge id {eid}")
-        total += hg.weights[eid]
+        total += weights[eid]
     return total
 
 
@@ -221,8 +223,9 @@ def validate_matching(hg: Hypergraph, matching: Matching) -> bool:
         if not 0 <= eid < m:
             raise InvalidInput(f"unknown edge id {eid}")
     covered = [False] * hg.n
+    vertices = hg.vertices
     for eid in matching.edge_ids:
-        for v in hg.vertices[eid]:
+        for v in vertices[eid]:
             if covered[v]:
                 return False
             covered[v] = True

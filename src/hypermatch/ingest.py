@@ -22,6 +22,8 @@ from typing import Iterator, Optional
 
 from .core import Hypergraph, InvalidInput
 
+_CHUNK = 1 << 16  # characters or bytes of text split into lines at a time
+
 
 class ParseError(ValueError):
     """Malformed instance text.  Carries the 1-based line number."""
@@ -59,16 +61,19 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
     first line at fault (non-numeric token, vertex id outside ``1..n`` or
     repeated, no vertices, weight not positive and finite) is found and
     reported.  An overflowing total weight stays InvalidInput.
+
+    The text is split into lines a chunk at a time, so parsing holds the
+    growing instance and one chunk of text besides ``source`` itself.
     """
-    if isinstance(source, bytes):
+    if isinstance(source, bytes) and not source.isascii():
         try:
-            text = source.decode("utf-8")
+            # the whole text is checked before any line is read, and the
+            # decoded copy dropped: the lines decode again chunk by chunk
+            source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"undecodable byte sequence: {exc}", 1) from None
-    else:
-        text = source
 
-    lines = _data_lines(text)
+    lines = _data_lines(source)
     header_line, header = next(lines, (1, None))
     if header is None:
         raise ParseError("missing header line", 1)
@@ -119,20 +124,43 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
     try:
         return Hypergraph(n, vertices, weights if fmt == 1 else [1.0] * m)
     except InvalidInput:
-        for lineno, tokens in itertools.islice(_data_lines(text), 1, m + 1):
+        for lineno, tokens in itertools.islice(_data_lines(source), 1, m + 1):
             problem = _edge_problem(tokens, fmt, n)
             if problem is not None:
                 raise ParseError(problem, lineno) from None
         raise  # no edge is at fault: the total weight overflows
 
 
-def _data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, tokens) of every line that carries data, lazily."""
-    return (
-        (lineno, tokens)
-        for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1)
-        if tokens and tokens[0][0] != "%"
-    )
+def _data_lines(source: str | bytes) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of every line that carries data, lazily.
+
+    The lines are those of ``str.splitlines`` on the whole (decoded) text,
+    read a chunk at a time: every chunk but the last ends just after a
+    ``'\\n'``, which ends a line, never splits a ``'\\r\\n'`` pair and never
+    falls inside a UTF-8 character.
+    """
+    first = 1  # the line number of the chunk's first line
+    for chunk in _chunks(source):
+        if isinstance(chunk, bytes):
+            chunk = chunk.decode("utf-8")
+        lines = chunk.splitlines()
+        for lineno, tokens in enumerate(map(str.split, lines), start=first):
+            if tokens and tokens[0][0] != "%":
+                yield lineno, tokens
+        first += len(lines)
+
+
+def _chunks(source: str | bytes) -> Iterator[str | bytes]:
+    """Consecutive slices of ``source`` of about ``_CHUNK`` items, each cut
+    just after a newline; a line longer than that makes its chunk longer."""
+    newline = b"\n" if isinstance(source, bytes) else "\n"
+    start, size = 0, len(source)
+    while start < size:
+        end = start + _CHUNK
+        if end < size:
+            end = source.rfind(newline, start, end) + 1 or source.find(newline, end) + 1 or size
+        yield source[start:end]
+        start = end
 
 
 def _edge_problem(tokens: list[str], fmt: int, n: int) -> Optional[str]:

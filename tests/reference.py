@@ -1,14 +1,16 @@
-"""Per-edge references for the streaming kernels' loop bodies.
+"""References that restate, the plain way, what the package does fast.
 
 ``run_stack_stream`` and ``run_swapset`` each do an edge's work inline in
-their loop.  The functions here restate that work one edge at a time, with
-the same float operations in the same order, so the tests can step a
-stream by hand and check the kernels against the fold.
+their loop.  ``admit`` and ``try_swap`` restate that work one edge at a
+time, with the same float operations in the same order, so the tests can
+step a stream by hand and check the kernels against the fold.
+``data_lines`` reads instance text whole, where the parser reads it a
+chunk at a time.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from hypermatch.core import Hypergraph
 from hypermatch.stack_matcher import DualState, UpdateRule
@@ -70,3 +72,16 @@ def try_swap(
 def matched_ids(best: list[Optional[int]]) -> list[int]:
     """Distinct ids of the edges ``best`` holds, ascending."""
     return sorted({eid for eid in best if eid is not None})
+
+
+def data_lines(source: str | bytes) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of every line of ``source`` that carries data.
+
+    Decodes the whole text and splits all of it into lines at once.
+    """
+    text = source.decode("utf-8") if isinstance(source, bytes) else source
+    return (
+        (lineno, tokens)
+        for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1)
+        if tokens and tokens[0][0] != "%"
+    )

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
+from hypermatch import ingest
 from hypermatch.core import InvalidInput
 from hypermatch.ingest import (
     ParseError,
@@ -17,6 +19,7 @@ from hypermatch.ingest import (
 )
 
 from conftest import random_instances
+from reference import data_lines
 
 
 def test_parse_unweighted() -> None:
@@ -113,6 +116,114 @@ def test_parse_zero_edges() -> None:
     hg = parse_hmetis("0 5\n")
     assert hg.m == 0
     assert hg.n == 5
+
+
+# Every line boundary str.splitlines knows, besides "\n".
+LINE_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+SMALL_CHUNKS = (1, 2, 3, 4, 5, 6, 7, 8)
+
+
+def _outcome(source: str | bytes):
+    """The parsed Hypergraph, or the type, message and line of the error."""
+    try:
+        return parse_hmetis(source)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _assert_reads_as_whole_text(monkeypatch, source: str | bytes, chunks=SMALL_CHUNKS) -> None:
+    """Chunked reading gives the lines, and the parse the outcome, of the
+    whole-text reference reader, at every chunk size in ``chunks``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest, "_data_lines", data_lines)
+        expected = _outcome(source)
+    lines = list(data_lines(source))
+    for chunk in chunks:
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "_CHUNK", chunk)
+            assert list(ingest._data_lines(source)) == lines, (chunk, source)
+            assert _outcome(source) == expected, (chunk, source)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 4\r\n1 2\r\n2 3\r\n1 3\r\n",  # a CRLF pair at some cut for every chunk size
+        "2 30 1\n5 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15\n7 29 30\n",  # lines longer than a chunk
+        "2 3 1\n5 1 2\n7 2 3",  # no trailing newline
+        "2 3 1\r5 1 2\r% only CR\r7 2 3\r",  # no "\n" at all
+        "% caf\u00e9 \u20ac \U0001f600\n2 3\n% \u00e9\u00e9\u00e9\n1 2\n2 3\n",  # multi-byte comments
+        "% caf\u00e9\n2 3\n1 2\n2 x\n",  # a bad token after a multi-byte line
+        "1 3\n1 9\n1 2\n",  # more edge lines than declared
+        "2 3\n1 1\nx\n",  # the first bad line is reported
+    ]
+    + [f"% c{sep}2 3 1{sep}{sep}5 1 2{sep}7 2 3{sep}" for sep in LINE_BREAKS]
+    + [f"2 3\n1 2{sep}% c\n2 3\n" for sep in LINE_BREAKS],  # a break inside a chunk
+)
+def test_chunked_reading_matches_whole_text(monkeypatch, text: str) -> None:
+    _assert_reads_as_whole_text(monkeypatch, text)
+    _assert_reads_as_whole_text(monkeypatch, text.encode())
+
+
+def test_undecodable_byte_past_a_bad_header_is_reported_first(monkeypatch) -> None:
+    source = b"% c\nx 3\n" + b"1 2\n" * 10 + b"% \xff\n"
+    with pytest.raises(UnicodeDecodeError) as decode_error:
+        source.decode("utf-8")
+    for chunk in SMALL_CHUNKS:
+        monkeypatch.setattr(ingest, "_CHUNK", chunk)
+        assert _outcome(source) == (
+            ParseError,
+            f"line 1: undecodable byte sequence: {decode_error.value}",
+            1,
+        )
+
+
+def _random_text(rng: random.Random) -> str:
+    """A small instance text, often malformed, with mixed line breaks."""
+    n = rng.randint(1, 6)
+    m = rng.randint(0, 5)
+    fmt = rng.choice((None, 0, 1, 1))
+    header = [str(m), str(n)] + ([] if fmt is None else [str(fmt)])
+    if rng.random() < 0.1:
+        header[rng.randrange(len(header))] = rng.choice(("x", "-1", "2"))
+    lines = [" ".join(header)]
+    for _ in range(max(0, m + rng.choice((-1, 0, 0, 0, 0, 1)))):
+        tokens = [str(v) for v in rng.sample(range(1, n + 1), rng.randint(1, n))]
+        if fmt == 1:
+            tokens.insert(0, rng.choice(("1", "2.5", "7", "7", "0", "x", "inf")))
+        if rng.random() < 0.1:
+            tokens[rng.randrange(len(tokens))] = rng.choice(("x", "0", str(n + 1), tokens[-1]))
+        lines.append(rng.choice((" ", "  ", "\t")).join(tokens))
+    for _ in range(rng.randint(0, 3)):
+        filler = rng.choice(("", "  ", "%", "% caf\u00e9", "% \u20ac\U0001f600 x"))
+        lines.insert(rng.randint(0, len(lines)), filler)
+    breaks = ("\n",) * 8 + LINE_BREAKS
+    text = "".join(line + rng.choice(breaks) for line in lines)
+    return text[:-1] if rng.random() < 0.2 else text
+
+
+def test_chunked_reading_matches_whole_text_on_random_texts(monkeypatch) -> None:
+    rng = random.Random(15)
+    for _ in range(300):
+        text = _random_text(rng)
+        for source in (text, text.encode()):
+            _assert_reads_as_whole_text(monkeypatch, source, (1, 2, 3, 5, 8, 64))
+
+
+def test_parse_holds_one_chunk_of_text(monkeypatch) -> None:
+    # Reading the whole text at once held it decoded and one str per line:
+    # 5.6 (str) and 6.6 (bytes) times the text length above the result here.
+    text = serialize_hmetis(gen_random_hypergraph(1000, 3000, 4, 100, seed=15))
+    monkeypatch.setattr(ingest, "_CHUNK", 4096)
+    for source in (text, text.encode()):
+        tracemalloc.start()
+        try:
+            hg = parse_hmetis(source)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hg.m == 3000
+        assert peak - current < 2 * len(source)
 
 
 def test_serialize_unit_weights_omits_fmt() -> None:
