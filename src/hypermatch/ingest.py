@@ -64,6 +64,14 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
 
     The text is split into lines a chunk at a time, so parsing holds the
     growing instance and one chunk of text besides ``source`` itself.
+
+    All pins of one vertex share one ``int`` object: ids ``1..top`` map
+    through a table of ``top + 1`` canonical ints, where
+    ``top = min(n, len(source) // 8)``.  The table is sized from the text,
+    not from the header alone, so it costs at most about five times the
+    text.  An edge with an id past ``top``, an id below 1 or no vertices
+    shifts its ids to 0-based one by one instead, so a negative id never
+    indexes the table.
     """
     if isinstance(source, bytes) and not source.isascii():
         try:
@@ -97,6 +105,9 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
     vertices: list[tuple[int, ...]] = []
     weights: list[float] = []
     shift = (-1).__add__  # 1-based file ids to 0-based
+    # canonical(v) is v - 1 for file ids v in 1..top, one int object per id
+    top = min(n, len(source) // 8)
+    canonical = list(range(-1, top)).__getitem__
     found = 0  # edge lines seen
     extra_line = None  # the first edge line past the m declared
     lineno = header_line
@@ -113,9 +124,14 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
                 weights.append(math.nan)
             del tokens[0]
         try:
-            vertices.append(tuple(map(shift, sorted(map(int, tokens)))))
+            ids = sorted(map(int, tokens))
         except ValueError:
             vertices.append(())
+            continue
+        if ids and ids[0] > 0 and ids[-1] <= top:
+            vertices.append(tuple(map(canonical, ids)))
+        else:  # no vertices, or an id past the table, 0 or negative
+            vertices.append(tuple(map(shift, ids)))
     if found != m:
         raise ParseError(
             f"header declares {m} edges but {found} edge lines found",
@@ -241,8 +257,12 @@ def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> list[int]
     ASCENDING sorts by (weight, id), DESCENDING by (-weight, id): both are
     stable sorts of the ascending ids by weight, so equal-weight edges keep
     their input order.  RANDOM applies a Fisher-Yates shuffle driven by
-    ``random.Random(seed)`` (CPython's Mersenne Twister), which is stable
-    across platforms and runs for a fixed seed.
+    ``random.Random(seed).getrandbits`` (CPython's Mersenne Twister), which
+    is stable across platforms and runs for a fixed seed.  The shuffle is
+    this module's own loop, so the order does not depend on
+    ``random.shuffle``'s internals, which a later Python may change; it
+    draws exactly the bits that ``random.Random(seed).shuffle`` draws on
+    CPython 3.10-3.13 and gives the same permutation.
     """
     ids = list(range(hg.m))
     if order is StreamOrder.ORIGINAL:
@@ -254,7 +274,14 @@ def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> list[int]
         ids.sort(key=hg.weights.__getitem__, reverse=True)
         return ids
     if order is StreamOrder.RANDOM:
-        random.Random(seed).shuffle(ids)
+        getrandbits = random.Random(seed).getrandbits
+        for i in range(hg.m - 1, 0, -1):
+            # j uniform in 0..i by rejection: draw as many bits as i + 1 has
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            ids[i], ids[j] = ids[j], ids[i]
         return ids
     raise InvalidInput(f"unknown stream order {order!r}")
 

@@ -13,8 +13,9 @@ lexicographically smallest, which keeps results reproducible.  Sums are
 compared exactly, on weights scaled to integers, so float rounding in the
 summation order cannot split a tie.
 
-A separate brute-force enumerator walks all 2^m edge subsets with the same
-tie-break.  It exists to check the branch-and-bound, not to be fast.
+A separate brute-force enumerator walks all 2^m edge subsets in id order,
+with the same tie-break and no bound.  It exists to check the
+branch-and-bound, not to be fast.
 
 Both solvers refuse instances beyond :class:`OracleLimits` by raising
 :class:`TooLarge` — exact matching is NP-hard, so there is no graceful way
@@ -134,34 +135,38 @@ def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None
 def exhaustive_max_weight_matching(hg: Hypergraph, max_edges: int = 20) -> Matching:
     """Maximum-weight matching by enumerating every edge subset.
 
-    Same tie-break as :func:`exact_max_weight_matching`.  O(2^m * m); the
-    ``max_edges`` cap (TooLarge beyond it) keeps that honest.
+    Same tie-break as :func:`exact_max_weight_matching`.  A depth-first
+    walk extends each matching by every later edge in id order, so it
+    visits each matching once and tests each other subset at most once, as
+    a matching plus a conflicting last edge: O(2^m) in all, with no
+    ordering by weight and no bound.  The ``max_edges`` cap (TooLarge
+    beyond it) keeps that honest.
     """
     if hg.m > max_edges:
         raise TooLarge(f"{hg.m} edges exceeds the enumeration cap of {max_edges}")
-    masks = [_vertex_mask(hg, eid) for eid in range(hg.m)]
+    m = hg.m
+    masks = [_vertex_mask(hg, eid) for eid in range(m)]
     exact = _exact_weights(hg)
 
     best_weight = 0
     best_ids: tuple[int, ...] = ()
-    for subset in range(1 << hg.m):
-        used = 0
-        weight = 0
-        ok = True
-        for eid in range(hg.m):
-            if not subset >> eid & 1:
-                continue
-            if used & masks[eid]:
-                ok = False
-                break
-            used |= masks[eid]
-            weight += exact[eid]
-        if not ok:
-            continue
-        ids = tuple(eid for eid in range(hg.m) if subset >> eid & 1)
-        if weight > best_weight or (weight == best_weight and ids < best_ids):
-            best_weight = weight
-            best_ids = ids
+    chosen: list[int] = []
+
+    def extend(start: int, used: int, weight: int) -> None:
+        # chosen is a matching over vertex mask used; extend it by edges >= start
+        nonlocal best_weight, best_ids
+        if weight >= best_weight:
+            ids = tuple(chosen)
+            if weight > best_weight or ids < best_ids:
+                best_weight = weight
+                best_ids = ids
+        for eid in range(start, m):
+            if not used & masks[eid]:
+                chosen.append(eid)
+                extend(eid + 1, used | masks[eid], weight + exact[eid])
+                chosen.pop()
+
+    extend(0, 0, 0)
     return Matching.from_edge_ids(hg, best_ids)
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from hypermatch import ingest
-from hypermatch.core import InvalidInput
+from hypermatch.core import Hypergraph, InvalidInput
 from hypermatch.ingest import (
     ParseError,
     StreamOrder,
@@ -51,6 +51,11 @@ def test_parse_fmt0_explicit() -> None:
     assert parse_hmetis("1 2 0\n1 2\n") == parse_hmetis("1 2\n1 2\n")
 
 
+# A long first line sizes the vertex id table to cover every vertex of a
+# small instance: the table covers ids up to min(n, len(text) // 8).
+PAD = "%" * 63 + "\n"
+
+
 @pytest.mark.parametrize(
     "text,line",
     [
@@ -70,6 +75,9 @@ def test_parse_fmt0_explicit() -> None:
         ("1 3 1\ninf 1 2\n", 2),  # infinite weight
         ("1 3 1\n1e999 1 2\n", 2),  # weight overflows to infinity
         ("2 3\n1 2\n1 1 2\n", 3),  # vertex id repeated on one edge
+        (PAD + "1 3\n-1\n", 3),  # negative vertex that would index the id table from the end
+        (PAD + "1 3\n-3 2\n", 3),  # ... and there read as the valid edge (0, 1)
+        (PAD + f"1 3\n1 {10**30}\n", 3),  # vertex far past the id table
     ],
 )
 def test_parse_errors_carry_line_numbers(text: str, line: int) -> None:
@@ -226,6 +234,59 @@ def test_parse_holds_one_chunk_of_text(monkeypatch) -> None:
         assert peak - current < 2 * len(source)
 
 
+def test_pins_of_one_vertex_share_one_int() -> None:
+    text = serialize_hmetis(gen_random_hypergraph(1000, 3000, 4, 100, seed=15))
+    for source in (text, text.encode()):
+        hg = parse_hmetis(source)
+        first: dict[int, int] = {}
+        for verts in hg.vertices:
+            for v in verts:
+                assert first.setdefault(v, v) is v
+        assert len(first) > 900 and max(first) == 999
+
+
+def test_parsed_instance_costs_little_per_pin() -> None:
+    # A fresh int per pin would cost about 63 traced bytes per pin here; one
+    # int per vertex id costs about 42.
+    text = serialize_hmetis(gen_random_hypergraph(1000, 3000, 4, 100, seed=15))
+    for source in (text, text.encode()):
+        tracemalloc.start()
+        try:
+            hg = parse_hmetis(source)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current / hg.total_pins < 52
+
+
+@pytest.mark.parametrize(
+    "text,outcome",
+    [
+        ("3 1000000000 1\n5 1 2\n", "line 2: header declares 3 edges but 1 edge lines found"),
+        ("1 1000000000 1\n5 1 2\n", 10**9),
+    ],
+)
+def test_vertex_count_in_header_sizes_nothing(text: str, outcome) -> None:
+    # The id table is sized from the text, so a huge n alone allocates nothing.
+    tracemalloc.start()
+    try:
+        try:
+            result = parse_hmetis(text).n
+        except ParseError as exc:
+            result = str(exc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == outcome
+    assert peak < 1 << 20
+
+
+def test_signed_and_zero_padded_vertex_tokens() -> None:
+    for pad in ("", PAD):
+        hg = parse_hmetis(pad + "2 3\n+2\n02 3\n")
+        assert hg.vertices == ((1,), (1, 2))
+
+
 def test_serialize_unit_weights_omits_fmt() -> None:
     hg = parse_hmetis("2 3\n1 2\n2 3\n")
     assert serialize_hmetis(hg) == "2 3\n1 2\n2 3\n"
@@ -292,6 +353,15 @@ def test_order_random_deterministic_per_seed() -> None:
     first = order_stream(hg, StreamOrder.RANDOM, seed=42)
     assert order_stream(hg, StreamOrder.RANDOM, seed=42) == first
     assert sorted(first) == list(range(12))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**40])
+def test_order_random_is_random_shuffle(seed: int) -> None:
+    for m in [*range(20), 255, 256, 257, 999, 1000]:
+        hg = Hypergraph(1, [(0,)] * m, [1.0] * m)
+        expected = list(range(m))
+        random.Random(seed).shuffle(expected)
+        assert order_stream(hg, StreamOrder.RANDOM, seed) == expected, m
 
 
 def test_order_always_a_permutation() -> None:
