@@ -5,7 +5,6 @@ from .core import (
     InvalidInput,
     Matching,
     RunMetrics,
-    matching_weight,
     validate_matching,
 )
 from .ingest import (
@@ -42,7 +41,6 @@ __all__ = [
     "InvalidInput",
     "Matching",
     "RunMetrics",
-    "matching_weight",
     "validate_matching",
     "ParseError",
     "StreamOrder",

@@ -53,6 +53,10 @@ KNOBS = {"stack": "epsilon", "stack-lenient": "epsilon", "swapset": "alpha",
 ALGORITHMS = tuple(KNOBS)
 # The value a cell runs with when its algorithm's knob is unset.
 KNOB_DEFAULTS = {"epsilon": 0.0, "alpha": "auto"}
+# The input failures reported rather than raised: the kind a command prints
+# on stderr and the exit code it returns.  A grid cell records the failure.
+INPUT_FAILURES = {TooLarge: ("too_large", 3), ParseError: ("parse_error", 2),
+                  InvalidInput: ("invalid_input", 2), OSError: ("invalid_input", 2)}
 
 Source = Union[str, tuple[int, int, int, int]]
 
@@ -143,12 +147,15 @@ class ResultRecord:
     error: Optional[str] = None
 
     @classmethod
-    def for_spec(cls, spec: RunSpec, **values) -> "ResultRecord":
-        """A record labelled with the spec's configuration; ``values`` win."""
+    def for_spec(cls, spec: RunSpec, hg: Optional[Hypergraph] = None, **values) -> "ResultRecord":
+        """A record labelled with the spec's configuration and, given ``hg``,
+        the instance's shape; ``values`` win."""
         labels = dict(instance=spec.instance_label(), algorithm=spec.algorithm,
                       weights=spec.weights.value, order=spec.order.value,
                       seed=spec.seed, repeat=spec.repeat, epsilon=spec.epsilon,
                       alpha=None if spec.alpha is None else str(spec.alpha))
+        if hg is not None:
+            labels.update(n=hg.n, m=hg.m, d=hg.d, total_pins=hg.total_pins)
         return cls(**{**labels, **values})
 
     def as_dict(self) -> dict:
@@ -243,9 +250,8 @@ def _run_cell(spec: RunSpec, instance: _LoadedInstance) -> ResultRecord:
         matching, dual, metrics = run_stack_stream(hg, stream, spec.epsilon, rule)
 
     record = ResultRecord.for_spec(
-        spec, resolved_alpha=resolved_alpha, n=hg.n, m=hg.m, d=hg.d,
-        total_pins=hg.total_pins, logical_memory=logical_memory(algorithm, hg, metrics),
-        **vars(metrics),
+        spec, hg, resolved_alpha=resolved_alpha,
+        logical_memory=logical_memory(algorithm, hg, metrics), **vars(metrics),
     )
     if spec.certify:
         if dual is not None:
@@ -279,7 +285,7 @@ def grid(specs: Iterable[RunSpec]) -> Iterator[ResultRecord]:
             if key not in loaded:
                 loaded[key] = _LoadedInstance(load_instance(spec))
             record = _run_cell(spec, loaded[key])
-        except (ParseError, InvalidInput, OSError, TooLarge) as exc:
+        except tuple(INPUT_FAILURES) as exc:
             record = ResultRecord.for_spec(spec, error=f"{type(exc).__name__}: {exc}")
         yield record
 
@@ -328,11 +334,8 @@ def oracle_record(
     matching = exact_max_weight_matching(hg, limits)
     return ResultRecord.for_spec(
         spec,
+        hg,
         algorithm="oracle",
-        n=hg.n,
-        m=hg.m,
-        d=hg.d,
-        total_pins=hg.total_pins,
         matching_weight=matching.weight,
         cardinality=matching.cardinality,
         oracle_weight=matching.weight,
@@ -382,26 +385,29 @@ def _parse_alpha(text: str) -> Union[float, str]:
             f"--alpha must be a number or 'auto', got {text!r}") from None
 
 
-def _add_source_args(parser: argparse.ArgumentParser, repeatable: bool) -> None:
-    action = "append" if repeatable else "store"
-    parser.add_argument("--input", action=action, metavar="FILE",
+# Flags that grid repeats, one value per point of an axis, and that run
+# and oracle take at most once.
+AXIS_FLAGS = ("input", "gen", "seed", "algorithm", "epsilon", "alpha", "order")
+
+
+def _add_source_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", action="append", metavar="FILE",
                         help="instance file in hMetis text format")
-    parser.add_argument("--gen", action=action, metavar="N,M,DMAX,WMAX",
+    parser.add_argument("--gen", action="append", metavar="N,M,DMAX,WMAX",
                         help="generate a random instance instead of reading one")
     parser.add_argument("--weights", choices=[s.value for s in WeightScheme],
                         default="file", help="weight scheme applied after loading")
-    parser.add_argument("--seed", action=action, type=int, default=None,
+    parser.add_argument("--seed", action="append", type=int,
                         help="seed for generation and random order (default 0)")
 
 
-def _add_cell_args(parser: argparse.ArgumentParser, repeatable: bool) -> None:
-    action = "append" if repeatable else "store"
-    parser.add_argument("--algorithm", action=action, choices=ALGORITHMS, required=True)
-    parser.add_argument("--epsilon", action=action, type=float,
+def _add_cell_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--algorithm", action="append", choices=ALGORITHMS, required=True)
+    parser.add_argument("--epsilon", action="append", type=float,
                         help="admission slack for the stack family (default 0)")
-    parser.add_argument("--alpha", action=action, type=_parse_alpha,
+    parser.add_argument("--alpha", action="append", type=_parse_alpha,
                         help="swap threshold for swapset, or 'auto' (default)")
-    parser.add_argument("--order", action=action, choices=[o.value for o in StreamOrder],
+    parser.add_argument("--order", action="append", choices=[o.value for o in StreamOrder],
                         help="stream order (default original)")
     parser.add_argument("--certify", action="store_true",
                         help="attach dual certificate and, when feasible, the exact optimum")
@@ -432,19 +438,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one algorithm on one instance")
-    _add_source_args(p_run, repeatable=False)
-    _add_cell_args(p_run, repeatable=False)
+    _add_source_args(p_run)
+    _add_cell_args(p_run)
     _add_output_args(p_run)
 
     p_grid = sub.add_parser("grid", help="cartesian product of configurations")
-    _add_source_args(p_grid, repeatable=True)
-    _add_cell_args(p_grid, repeatable=True)
+    _add_source_args(p_grid)
+    _add_cell_args(p_grid)
     p_grid.add_argument("--repeats", type=int, default=1,
                         help="repetitions of every cell (default 1)")
     _add_output_args(p_grid)
 
     p_oracle = sub.add_parser("oracle", help="exact optimum of a small instance")
-    _add_source_args(p_oracle, repeatable=False)
+    _add_source_args(p_oracle)
     p_oracle.add_argument("--max-edges", type=int, default=OracleLimits.max_edges,
                           help="refuse instances with more edges than this")
     _add_output_args(p_oracle)
@@ -503,6 +509,13 @@ def _records(args) -> Iterable[ResultRecord]:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command != "grid":
+        for name in AXIS_FLAGS:
+            values = getattr(args, name, None)
+            if values:
+                if len(values) > 1:
+                    parser.error(f"argument --{name}: given more than once")
+                setattr(args, name, values[0])
     try:
         records = _records(args)
         if args.output is None:
@@ -510,15 +523,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             with open(args.output, "w", newline="") as out:
                 failed = emit(records, args.format, out)
-    except TooLarge as exc:
-        _print_error("too_large", exc)
-        return 3
-    except ParseError as exc:
-        _print_error("parse_error", exc)
-        return 2
-    except (InvalidInput, OSError) as exc:
-        _print_error("invalid_input", exc)
-        return 2
+    except tuple(INPUT_FAILURES) as exc:
+        kind, code = next(INPUT_FAILURES[c] for c in type(exc).__mro__ if c in INPUT_FAILURES)
+        _print_error(kind, exc)
+        return code
     if failed:
         _print_error("cell_errors", f"{failed} grid cell(s) failed; see the error column")
         return 2

@@ -195,41 +195,27 @@ def check_stream(hg: Hypergraph, stream: Iterable[int]) -> list[int]:
     return stream
 
 
-def matching_weight(hg: Hypergraph, edge_ids: Iterable[int]) -> float:
-    """Total weight of the given edges, summed in ascending id order.
-
-    The fixed summation order makes the result invariant under permutations
-    of ``edge_ids``.  Unknown ids raise InvalidInput.
-    """
-    total = 0.0
-    m = hg.m
-    weights = hg.weights
-    for eid in sorted(set(edge_ids)):
-        if not 0 <= eid < m:
-            raise InvalidInput(f"unknown edge id {eid}")
-        total += weights[eid]
-    return total
-
-
 def validate_matching(hg: Hypergraph, matching: Matching) -> bool:
     """Check that a matching is internally consistent for ``hg``.
 
     True iff the selected edges are pairwise vertex-disjoint and the cached
-    weight agrees with recomputation within relative tolerance 1e-12.
-    Unknown edge ids raise InvalidInput rather than returning False.
+    weight agrees within relative tolerance 1e-12 with their weights summed
+    in ascending id order.  Unknown edge ids raise InvalidInput rather than
+    returning False.
     """
     m = hg.m
     for eid in matching.edge_ids:
         if not 0 <= eid < m:
             raise InvalidInput(f"unknown edge id {eid}")
     covered = [False] * hg.n
-    vertices = hg.vertices
-    for eid in matching.edge_ids:
+    vertices, weights = hg.vertices, hg.weights
+    recomputed = 0.0
+    for eid in sorted(matching.edge_ids):
         for v in vertices[eid]:
             if covered[v]:
                 return False
             covered[v] = True
-    recomputed = matching_weight(hg, matching.edge_ids)
+        recomputed += weights[eid]
     tol = 1e-12 * max(abs(recomputed), abs(matching.weight))
     return abs(recomputed - matching.weight) <= tol
 

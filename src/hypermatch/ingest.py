@@ -241,7 +241,7 @@ def synthesize_weights(hg: Hypergraph, scheme: WeightScheme) -> Hypergraph:
     ``max_size - k + 1`` where ``max_size`` is the largest edge size in the
     instance, so the largest edges get weight 1 rather than 0.
     """
-    if scheme is WeightScheme.FROM_FILE or hg.m == 0:
+    if scheme is WeightScheme.FROM_FILE:
         return hg
     if scheme is WeightScheme.UNIT:
         return Hypergraph(hg.n, hg.vertices, [1.0] * hg.m)
@@ -254,9 +254,9 @@ def synthesize_weights(hg: Hypergraph, scheme: WeightScheme) -> Hypergraph:
 def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> list[int]:
     """Edge ids in presentation order.  Always a permutation of 0..m-1.
 
-    ASCENDING sorts by (weight, id), DESCENDING by (-weight, id): both are
-    stable sorts of the ascending ids by weight, so equal-weight edges keep
-    their input order.  RANDOM applies a Fisher-Yates shuffle driven by
+    ASCENDING sorts by (weight, id), DESCENDING by (-weight, id): one
+    stable sort by weight, reversed for DESCENDING, keeps equal-weight
+    edges in input order.  RANDOM applies a Fisher-Yates shuffle driven by
     ``random.Random(seed).getrandbits`` (CPython's Mersenne Twister), which
     is stable across platforms and runs for a fixed seed.  The shuffle is
     this module's own loop, so the order does not depend on
@@ -267,11 +267,8 @@ def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> list[int]
     ids = list(range(hg.m))
     if order is StreamOrder.ORIGINAL:
         return ids
-    if order is StreamOrder.ASCENDING:
-        ids.sort(key=hg.weights.__getitem__)
-        return ids
-    if order is StreamOrder.DESCENDING:
-        ids.sort(key=hg.weights.__getitem__, reverse=True)
+    if order is StreamOrder.ASCENDING or order is StreamOrder.DESCENDING:
+        ids.sort(key=hg.weights.__getitem__, reverse=order is StreamOrder.DESCENDING)
         return ids
     if order is StreamOrder.RANDOM:
         getrandbits = random.Random(seed).getrandbits

@@ -132,18 +132,18 @@ def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None
     return Matching.from_edge_ids(hg, best_ids)
 
 
-def exhaustive_max_weight_matching(hg: Hypergraph, max_edges: int = 20) -> Matching:
+def exhaustive_max_weight_matching(hg: Hypergraph) -> Matching:
     """Maximum-weight matching by enumerating every edge subset.
 
     Same tie-break as :func:`exact_max_weight_matching`.  A depth-first
     walk extends each matching by every later edge in id order, so it
     visits each matching once and tests each other subset at most once, as
     a matching plus a conflicting last edge: O(2^m) in all, with no
-    ordering by weight and no bound.  The ``max_edges`` cap (TooLarge
+    ordering by weight and no bound.  A fixed cap of 20 edges (TooLarge
     beyond it) keeps that honest.
     """
-    if hg.m > max_edges:
-        raise TooLarge(f"{hg.m} edges exceeds the enumeration cap of {max_edges}")
+    if hg.m > 20:
+        raise TooLarge(f"{hg.m} edges exceeds the enumeration cap of 20")
     m = hg.m
     masks = [_vertex_mask(hg, eid) for eid in range(m)]
     exact = _exact_weights(hg)

@@ -476,6 +476,37 @@ def test_bad_flags_are_reported_as_json(capsys) -> None:
     assert err == ""
 
 
+def test_run_and_oracle_refuse_repeated_flags(tmp_path, capsys) -> None:
+    path = tmp_path / "two.hgr"
+    path.write_text(TWO_EDGE_FILE)
+    run = ["run", "--gen", "5,6,2,10", "--algorithm", "stack"]
+    oracle = ["oracle", "--gen", "5,6,2,10"]
+    for argv, flag in (
+        (run + ["--algorithm", "naive"], "--algorithm"),
+        (run + ["--seed", "1", "--seed", "2"], "--seed"),
+        (run + ["--gen", "5,6,2,10"], "--gen"),
+        (run + ["--epsilon", "0", "--epsilon", "1"], "--epsilon"),
+        (run + ["--order", "random", "--order", "random"], "--order"),
+        (["run", "--gen", "5,6,2,10", "--algorithm", "swapset",
+          "--alpha", "auto", "--alpha", "1"], "--alpha"),
+        (["run", "--input", str(path), "--input", str(path), "--algorithm", "naive"],
+         "--input"),
+        (oracle + ["--seed", "1", "--seed", "1"], "--seed"),
+        (oracle + ["--gen", "5,6,2,10"], "--gen"),
+        (["oracle", "--input", str(path), "--input", str(path)], "--input"),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        message = json.loads(err)
+        assert message["error"] == "usage"
+        assert f"{flag}: given more than once" in message["message"]
+    code, out, _ = run_cli(["grid", "--gen", "5,6,2,10", "--algorithm", "stack",
+                            "--algorithm", "naive", "--seed", "1", "--seed", "2"], capsys)
+    assert code == 0
+    assert len(csv_rows(out)) == 4
+
+
 def test_both_or_neither_source_exits_2(tmp_path, capsys) -> None:
     code, _, _ = run_cli(["run", "--algorithm", "naive"], capsys)
     assert code == 2

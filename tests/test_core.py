@@ -11,7 +11,6 @@ from hypermatch.core import (
     Matching,
     RunMetrics,
     check_stream,
-    matching_weight,
     validate_matching,
 )
 
@@ -131,10 +130,10 @@ def test_validate_matching_weight_tolerance_is_relative() -> None:
 
 def test_matching_weight_examples() -> None:
     hg = Hypergraph.build(4, [((0, 1), 3.0), ((2, 3), 3.0), ((1, 2), 5.0)])
-    assert matching_weight(hg, [0, 1]) == 6.0
-    assert matching_weight(hg, []) == 0.0
+    assert Matching.from_edge_ids(hg, [0, 1]).weight == 6.0
+    assert Matching.from_edge_ids(hg, []).weight == 0.0
     with pytest.raises(InvalidInput):
-        matching_weight(hg, [3])
+        Matching.from_edge_ids(hg, [3])
 
 
 def test_matching_weight_permutation_invariant() -> None:
@@ -142,12 +141,12 @@ def test_matching_weight_permutation_invariant() -> None:
     hg = Hypergraph.build(
         20, [((i % 20, (i * 3 + 1) % 20), rng.uniform(0.1, 9)) for i in range(15)]
     )
-    ids = [1, 4, 7, 9, 13]
-    base = matching_weight(hg, ids)
+    ids = [0, 2, 4, 6, 9, 12]  # pairwise vertex-disjoint
+    base = Matching.from_edge_ids(hg, ids).weight
     for _ in range(20):
         shuffled = ids[:]
         rng.shuffle(shuffled)
-        assert matching_weight(hg, shuffled) == base
+        assert Matching.from_edge_ids(hg, shuffled).weight == base
 
 
 def test_check_stream() -> None:
