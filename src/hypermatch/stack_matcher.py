@@ -13,7 +13,10 @@ That cannot change a decision: potentials are never negative, so the
 rounded running sum never falls as pins are added, and
 ``(1 + epsilon) * x`` rounds monotonically in ``x``.  An admitted edge has
 summed every pin.  The per-edge reference in the tests always takes the
-full sum.
+full sum.  :func:`dual_feasible` stops the other way, at the first pin
+where the scaled sum covers the weight, for the same reason; it first
+refuses any negative or NaN potential, since only ``y >= 0`` bounds a
+matching.
 
 Two update rules are supported.  GUARANTEE adds the full surplus
 ``W(e) - sum`` to every endpoint, which makes the scaled potentials a
@@ -27,7 +30,9 @@ price of that certificate.  ``epsilon`` must be finite and non-negative.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -112,20 +117,32 @@ def run_stack_stream(
 
 
 def dual_feasible(hg: Hypergraph, dual: DualState) -> bool:
-    """Whether the scaled potentials cover every edge's weight.
+    """Whether the potentials are a dual solution: non-negative and, once
+    scaled, covering every edge's weight.
 
-    Checks ``(1 + epsilon) * sum(e) >= W(e)`` for every edge, where
-    ``sum(e)`` is the potential sum over ``e``'s vertices, with a relative
-    slack of ``1e-9 * W(e)`` for floating-point noise.
+    False when any potential is negative or NaN.  Otherwise checks
+    ``(1 + epsilon) * sum(e) >= W(e)`` for every edge, where ``sum(e)`` is
+    the potential sum over ``e``'s vertices, with a relative slack of
+    ``1e-9 * W(e)`` for floating-point noise; a NaN product covers
+    nothing.  An edge's sum stops at the first pin where it covers the
+    weight: with no potential negative, the rounded running sum never
+    falls, so the full sum would cover it too.
     A run with the GUARANTEE rule always ends in a feasible state.
     """
-    scale = 1.0 + dual.epsilon
     potentials = dual.potentials
+    # operator.le, not (0.0).__le__, whose NotImplemented for a Fraction
+    # or Decimal would read as true
+    if not all(map(operator.le, itertools.repeat(0.0), potentials)):
+        return False
+    scale = 1.0 + dual.epsilon
     for verts, w in zip(hg.vertices, hg.weights):
+        need = w - 1e-9 * w
         covered = 0.0
         for v in verts:
             covered += potentials[v]
-        if scale * covered < w - 1e-9 * w:
+            if scale * covered >= need:
+                break
+        else:
             return False
     return True
 
@@ -133,10 +150,10 @@ def dual_feasible(hg: Hypergraph, dual: DualState) -> bool:
 def dual_upper_bound(dual: DualState) -> float:
     """``(1 + epsilon)`` times the total potential.
 
-    When :func:`dual_feasible` holds, no matching of the instance weighs
-    more than this value.  The potentials can add up past the largest
-    float even when the edge weights do not; the bound is then ``inf``,
-    vacuous but still valid.
+    When :func:`dual_feasible` holds, which needs every potential
+    ``y >= 0``, no matching of the instance weighs more than this value.
+    The potentials can add up past the largest float even when the edge
+    weights do not; the bound is then ``inf``, vacuous but still valid.
     """
     total = 0.0
     for p in dual.potentials:

@@ -4,6 +4,8 @@
 their loop.  ``admit`` and ``try_swap`` restate that work one edge at a
 time, with the same float operations in the same order, so the tests can
 step a stream by hand and check the kernels against the fold.
+``covers`` checks a dual on every edge's full potential sum, where
+``dual_feasible`` stops at the first pin that covers the weight.
 ``data_lines`` reads instance text whole, where the parser reads it a
 chunk at a time.
 """
@@ -38,6 +40,26 @@ def admit(dual: DualState, hg: Hypergraph, eid: int, rule: UpdateRule) -> bool:
         surplus /= len(verts)
     for v in verts:
         potentials[v] += surplus
+    return True
+
+
+def covers(hg: Hypergraph, dual: DualState) -> bool:
+    """Whether ``dual`` is non-negative and covers every edge on full sums.
+
+    No potential may be negative or NaN.  Each edge's potentials are summed
+    left to right over its whole sorted vertex tuple, and the edge is
+    covered when ``(1 + epsilon) * sum >= W(e) - 1e-9 * W(e)``.
+    """
+    potentials = dual.potentials
+    if not all(p >= 0.0 for p in potentials):
+        return False
+    scale = 1.0 + dual.epsilon
+    for verts, w in zip(hg.vertices, hg.weights):
+        covered = 0.0
+        for v in verts:
+            covered += potentials[v]
+        if not scale * covered >= w - 1e-9 * w:
+            return False
     return True
 
 

@@ -17,7 +17,8 @@ own execution proves:
 - naive: the matching is maximal.
 
 The gains and ``T`` come from folding the per-edge references over the
-stream; the fold must end where the kernel does.
+stream; the fold must end where the kernel does.  Every dual checked here
+is also checked on full sums, where ``dual_feasible`` stops early.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from hypermatch.stack_matcher import (
 )
 from hypermatch.swap_matcher import optimal_alpha, run_swapset
 
-from reference import admit, matched_ids, try_swap
+from reference import admit, covers, matched_ids, try_swap
 
 SEEDS = range(4)
 EPSILONS = (0.0, 0.1, 1.0)
@@ -117,3 +118,33 @@ def test_naive_is_maximal(instance, order) -> None:
     hg, seed = instance
     matching, _ = run_naive(hg, order_stream(hg, order, seed))
     assert is_maximal(hg, matching)
+
+
+@pytest.mark.parametrize("order", list(StreamOrder))
+def test_dual_feasible_matches_the_full_sum(instance, order) -> None:
+    hg, seed = instance
+    stream = order_stream(hg, order, seed)
+    duals = []
+    for epsilon in EPSILONS:
+        for rule in UpdateRule:
+            potentials = run_stack_stream(hg, stream, epsilon, rule)[1].potentials
+            duals += [DualState(potentials, scale_epsilon) for scale_epsilon in EPSILONS]
+    for alpha in (0.25, optimal_alpha(hg.d), 1.0):
+        best: list[Optional[int]] = [None] * hg.n
+        y = [0.0] * hg.n
+        for eid in stream:
+            if try_swap(best, alpha, hg, eid) is not None:
+                for v in hg.vertices[eid]:
+                    y[v] = max(y[v], (1.0 + alpha) * hg.weights[eid])
+        duals += [DualState(y, 0.0), DualState([p / 2 for p in y], 0.0)]
+    y = [0.0] * hg.n
+    for eid in run_greedy(hg)[0].edge_ids:
+        for v in hg.vertices[eid]:
+            y[v] = hg.weights[eid]
+    duals.append(DualState(y, 0.0))
+    outcomes = {True: 0, False: 0}
+    for dual in duals:
+        expected = covers(hg, dual)
+        assert dual_feasible(hg, dual) == expected
+        outcomes[expected] += 1
+    assert all(outcomes.values()), outcomes

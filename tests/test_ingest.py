@@ -413,3 +413,96 @@ def test_gen_respects_bounds() -> None:
 def test_gen_rejects_bad_parameters(n, m, d_max, w_max) -> None:
     with pytest.raises(InvalidInput):
         gen_random_hypergraph(n, m, d_max, w_max, seed=0)
+
+
+# A leading comment long enough for the spelling table to cover the ids of
+# every small text below: the table needs 128 characters of text per id.
+LONG_PAD = "%" * 2047 + "\n"
+
+
+@pytest.fixture
+def spelling_built(monkeypatch) -> list[bool]:
+    """Whether each parse of the test built the spelling table, in order."""
+    built = []
+    spelled_ids = ingest._spelled_ids
+
+    def spy(*args):
+        table = spelled_ids(*args)
+        built.append(table is not None)
+        return table
+
+    monkeypatch.setattr(ingest, "_spelled_ids", spy)
+    return built
+
+
+def _read(source: str | bytes, skipped: int = 0):
+    """The parse's vertices and weights, or its error with the line number
+    lowered by ``skipped``; each vertex id must be one object throughout."""
+    try:
+        hg = parse_hmetis(source)
+    except ParseError as exc:
+        message = str(exc).split(": ", 1)[1]
+        return ParseError, f"line {exc.line - skipped}: {message}", exc.line - skipped
+    except ValueError as exc:
+        return type(exc), str(exc), None
+    first: dict[int, int] = {}
+    for verts in hg.vertices:
+        for v in verts:
+            assert first.setdefault(v, v) is v
+    return hg.n, hg.vertices, hg.weights
+
+
+def _assert_both_paths_read_alike(built: list[bool], text: str) -> None:
+    """``text`` reads the same after ``LONG_PAD``, which turns the spelling
+    table on, as on its own; as str and as bytes."""
+    for source in (text, text.encode()):
+        pad = LONG_PAD.encode() if isinstance(source, bytes) else LONG_PAD
+        built.clear()
+        assert _read(pad + source, skipped=1) == _read(source), text
+        # the padded parse, parsed first, built the table once its header parsed
+        assert built[:1] in ([], [True]), text
+
+
+# The cases of test_parse_errors_carry_line_numbers, read from its marker.
+LINE_NUMBER_CASES = test_parse_errors_carry_line_numbers.pytestmark[0].args[1]
+
+
+@pytest.mark.parametrize("text,line", LINE_NUMBER_CASES)
+def test_spelled_ids_keep_line_numbers(spelling_built, text: str, line: int) -> None:
+    _assert_both_paths_read_alike(spelling_built, text)
+
+
+def test_spelled_ids_read_random_texts_alike(spelling_built) -> None:
+    rng = random.Random(18)
+    for _ in range(300):
+        _assert_both_paths_read_alike(spelling_built, _random_text(rng))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "4 12\n1 +2\n02 3\n1_0 2 4\n2 10 12\n",  # other spellings of valid ids
+        "3 12 1\n5 +2 2\n7 1 2\n7 2 3\n",  # 2 and +2 repeat one id
+        "2 12\n1 13\n1 2\n",  # an id past n
+        "2 12\n0 1\n1 2\n",
+        "2 12\n-3 1\n1 2\n",
+        "2 12\n1 2\n1 2_\n",
+        "2 12\n1 2\n1 ٢\n",  # int() reads the Arabic-Indic digit two
+        "2 12\n1 2\n2 3 x\n",
+        "3 12\n1 2\n2 3\n",  # fewer edge lines than declared
+    ],
+)
+def test_spelled_ids_mixed_tokens(spelling_built, text: str) -> None:
+    _assert_both_paths_read_alike(spelling_built, text)
+
+
+@pytest.mark.parametrize("n,built", [(1 << 15, True), ((1 << 15) + 1, False)])
+def test_spelling_table_stops_at_its_id_cap(spelling_built, n: int, built: bool) -> None:
+    # enough text for either n: only the cap on the table's size decides;
+    # "+{n}" misses the table, yet must read as the same int object as "{n}"
+    pad = "%" * (128 * n) + "\n"
+    text = f"{pad}3 {n}\n{n} 1\n2 +{n} 1\n{n - 1}\n"
+    hg = parse_hmetis(text)
+    assert spelling_built == [built]
+    assert hg.vertices == ((0, n - 1), (0, 1, n - 1), (n - 2,))
+    assert hg.vertices[0][1] is hg.vertices[1][2]

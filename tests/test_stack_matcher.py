@@ -23,7 +23,7 @@ from conftest import (
     ulp_neighbours,
     with_decimal_weights,
 )
-from reference import admit
+from reference import admit, covers
 
 
 def two_edge_path() -> Hypergraph:
@@ -153,6 +153,16 @@ def test_dual_feasible_slack_is_1e9_of_the_weight() -> None:
     hg = Hypergraph.build(1, [((0,), 1.0)])
     assert not dual_feasible(hg, DualState([1.0 - 2e-9], 0.0))
     assert dual_feasible(hg, DualState([1.0 - 5e-10], 0.0))
+
+
+def test_dual_feasible_refuses_negative_and_nan_potentials() -> None:
+    # a negative potential off the edge let the bound fall below the matching
+    hg = Hypergraph(2, [(0,)], [1.0])
+    assert dual_upper_bound(DualState([1.0, -5.0], 0.0)) == -4.0
+    assert not dual_feasible(hg, DualState([1.0, -5.0], 0.0))
+    assert not dual_feasible(hg, DualState([math.nan, 0.0], 0.0))
+    assert not dual_feasible(hg, DualState([1.0, math.nan], 0.0))
+    assert dual_feasible(hg, DualState([1.0, -0.0], 0.0))
 
 
 def test_dual_upper_bound_scales_with_epsilon() -> None:
@@ -312,3 +322,54 @@ def test_run_matches_the_helper_fold() -> None:
                     assert matching == Matching.from_edge_ids(
                         hg, first_fit(hg, reversed(stack))
                     )
+
+
+def near_threshold_duals() -> list[tuple[Hypergraph, DualState]]:
+    """One 4-pin edge with potentials whose running sum is one ulp below,
+    at, or one ulp above ``need / (1 + epsilon)`` at each pin, where
+    ``need = W - 1e-9 * W``, for each fold epsilon.
+
+    The pins before that pin hold ``x / 2, x / 4, ...`` and the pin itself
+    the rest, so the running sum there is ``x`` exactly; the pins after it
+    hold zeros, or one ulp of ``x`` that lifts the full sum past ``x``.
+    """
+    cases = []
+    for base in NEAR_THRESHOLD_BASES:
+        hg = Hypergraph(4, [(0, 1, 2, 3)], [base])
+        need = base - 1e-9 * base
+        for epsilon in FOLD_EPSILONS:
+            for x in ulp_neighbours(need / (1.0 + epsilon)):
+                for pin in range(4):
+                    head = [x / 2 ** (i + 1) for i in range(pin)]
+                    head.append(x - sum(head))
+                    tails = [[0.0] * (3 - pin)]
+                    if pin < 3:
+                        tails.append([math.ulp(x)] + [0.0] * (2 - pin))
+                    for tail in tails:
+                        cases.append((hg, DualState(head + tail, epsilon)))
+    return cases
+
+
+def test_dual_feasible_matches_the_full_sum_near_the_threshold() -> None:
+    outcomes = {True: 0, False: 0}
+    for hg, dual in near_threshold_duals():
+        expected = covers(hg, dual)
+        assert dual_feasible(hg, dual) == expected, dual
+        outcomes[expected] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def test_dual_feasible_matches_the_full_sum_on_run_duals() -> None:
+    outcomes = {True: 0, False: 0}
+    for hg in random_instances(150, meta_seed=203):
+        for epsilon in FOLD_EPSILONS:
+            for rule in UpdateRule:
+                stream = order_stream(hg, StreamOrder.RANDOM, seed=13)
+                potentials = run_stack_stream(hg, stream, epsilon, rule)[1].potentials
+                # the run's potentials, also scaled by the other epsilons
+                for scale_epsilon in FOLD_EPSILONS:
+                    dual = DualState(potentials, scale_epsilon)
+                    expected = covers(hg, dual)
+                    assert dual_feasible(hg, dual) == expected
+                    outcomes[expected] += 1
+    assert all(outcomes.values()), outcomes
