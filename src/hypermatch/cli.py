@@ -86,14 +86,19 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         source = self.source
+        # exactly int: bool is an int subclass, and as a count it is a caller's error
         generated = (isinstance(source, tuple) and len(source) == 4
-                     and all(isinstance(count, int) for count in source))
+                     and all(type(count) is int for count in source))
         if not (isinstance(source, str) or generated):
             raise InvalidInput(
                 f"source must be a file path or (n, m, d_max, w_max), got {source!r}")
-        for value, kind in ((self.weights, WeightScheme), (self.order, StreamOrder)):
-            if not isinstance(value, kind):
-                raise InvalidInput(f"expected a {kind.__name__}, got {value!r}")
+        for name, value, kind in (("weights", self.weights, WeightScheme),
+                                  ("order", self.order, StreamOrder),
+                                  ("seed", self.seed, int), ("repeat", self.repeat, int),
+                                  ("certify", self.certify, bool),
+                                  ("emit_matching", self.emit_matching, bool)):
+            if not (type(value) is int if kind is int else isinstance(value, kind)):
+                raise InvalidInput(f"{name} must be of type {kind.__name__}, got {value!r}")
         if self.algorithm not in KNOBS:
             raise InvalidInput(f"unknown algorithm {self.algorithm!r}")
         for knob, default in KNOB_DEFAULTS.items():

@@ -14,7 +14,8 @@ Lines may end in LF or CRLF.
 The parser reads the text a chunk at a time and gives all pins of one
 vertex one shared ``int``.  Where ids repeat, it reads a pin with one
 lookup in a table keyed by the id's plain spelling; any other token falls
-back to ``int()``, so both ways read the same.
+back to ``int()``, so both ways read the same.  The edge loop only decodes:
+an error's line number comes from a second read, made only on failure.
 """
 
 from __future__ import annotations
@@ -70,7 +71,9 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
     reported.  An overflowing total weight stays InvalidInput.
 
     The text is split into lines a chunk at a time, so parsing holds the
-    growing instance and one chunk of text besides ``source`` itself.
+    growing instance and one chunk of text besides ``source`` itself.  The
+    edge loop only decodes, lines past ``m`` too: the edge count is the
+    length of the result, and a failure finds its line by a second read.
 
     All pins of one vertex share one ``int`` object: ids ``1..top`` map
     through a table of ``top + 1`` canonical ints, where
@@ -97,8 +100,9 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
         except UnicodeDecodeError as exc:
             raise ParseError(f"undecodable byte sequence: {exc}", 1) from None
 
-    lines = _data_lines(source)
-    header_line, header = next(lines, (1, None))
+    token_lines = _token_lines(source)
+    # the header is read off the iterator that the edge loop then goes on with
+    header_line, header = next(_data_lines(token_lines), (1, None))
     if header is None:
         raise ParseError("missing header line", 1)
     if len(header) not in (2, 3):
@@ -125,14 +129,8 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
     top = min(n, len(source) // 8)
     canonical = list(range(-1, top)).__getitem__
     spelled = _spelled_ids(canonical, top, len(source))
-    found = 0  # edge lines seen
-    extra_line = None  # the first edge line past the m declared
-    lineno = header_line
-    for lineno, tokens in lines:
-        found += 1
-        if found > m:
-            if extra_line is None:
-                extra_line = lineno
+    for tokens in token_lines:
+        if not tokens or tokens[0][0] == "%":
             continue
         if fmt == 1:
             try:
@@ -156,15 +154,15 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
         else:  # no vertices, or an id past the table, 0 or negative
             vertices.append(tuple(map(shift, ids)))
     spelled = None  # not held while the constructor copies the edges
+    found = len(vertices)
     if found != m:
-        raise ParseError(
-            f"header declares {m} edges but {found} edge lines found",
-            extra_line if found > m else lineno,
-        )
+        # the first edge line past m, or the last one read; data line 0 is the header
+        line = itertools.islice(_data_lines(_token_lines(source)), min(found, m + 1), None)
+        raise ParseError(f"header declares {m} edges but {found} edge lines found", next(line)[0])
     try:
         return Hypergraph(n, vertices, weights if fmt == 1 else [1.0] * m)
     except InvalidInput:
-        for lineno, tokens in itertools.islice(_data_lines(source), 1, m + 1):
+        for lineno, tokens in itertools.islice(_data_lines(_token_lines(source)), 1, m + 1):
             problem = _edge_problem(tokens, fmt, n)
             if problem is not None:
                 raise ParseError(problem, lineno) from None
@@ -188,23 +186,24 @@ def _spelled_ids(canonical, top: int, size: int):
     return {str(v): canonical(v) for v in range(1, top + 1)}.__getitem__
 
 
-def _data_lines(source: str | bytes) -> Iterator[tuple[int, list[str]]]:
-    """(line number, tokens) of every line that carries data, lazily.
+def _token_lines(source: str | bytes) -> Iterator[list[str]]:
+    """Tokens of every line of ``source``, blank and comment ones too, lazily.
 
     The lines are those of ``str.splitlines`` on the whole (decoded) text,
     read a chunk at a time: every chunk but the last ends just after a
     ``'\\n'``, which ends a line, never splits a ``'\\r\\n'`` pair and never
     falls inside a UTF-8 character.
     """
-    first = 1  # the line number of the chunk's first line
-    for chunk in _chunks(source):
-        if isinstance(chunk, bytes):
-            chunk = chunk.decode("utf-8")
-        lines = chunk.splitlines()
-        for lineno, tokens in enumerate(map(str.split, lines), start=first):
-            if tokens and tokens[0][0] != "%":
-                yield lineno, tokens
-        first += len(lines)
+    return itertools.chain.from_iterable(
+        map(str.split, (chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk).splitlines())
+        for chunk in _chunks(source)
+    )
+
+
+def _data_lines(token_lines: Iterator[list[str]]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of every line of ``token_lines`` that carries data."""
+    numbered = enumerate(token_lines, 1)
+    return ((i, tokens) for i, tokens in numbered if tokens and tokens[0][0] != "%")
 
 
 def _chunks(source: str | bytes) -> Iterator[str | bytes]:

@@ -44,14 +44,18 @@ class OracleLimits:
     (the root plus one per include or exclude decision on an edge still
     compatible with the partial matching), for adversarial instances
     (e.g. all weights equal) where pruning is powerless.  Raises
-    InvalidInput for a negative ``max_edges`` or a ``max_nodes_expanded``
-    below 1.
+    InvalidInput for a cap that is not exactly an ``int`` (not a ``bool``),
+    a negative ``max_edges`` or a ``max_nodes_expanded`` below 1.
     """
 
     max_edges: int = 24
     max_nodes_expanded: int = 1 << 25
 
     def __post_init__(self) -> None:
+        for name, value in (("max_edges", self.max_edges),
+                            ("max_nodes_expanded", self.max_nodes_expanded)):
+            if type(value) is not int:  # a bool is an int subclass
+                raise InvalidInput(f"{name} must be an int, got {value!r}")
         if self.max_edges < 0:
             raise InvalidInput(f"max_edges must be non-negative, got {self.max_edges}")
         if self.max_nodes_expanded < 1:

@@ -120,7 +120,8 @@ def dual_feasible(hg: Hypergraph, dual: DualState) -> bool:
     """Whether the potentials are a dual solution: non-negative and, once
     scaled, covering every edge's weight.
 
-    False when any potential is negative or NaN.  Otherwise checks
+    False unless there is one potential per vertex, and when any potential
+    is negative or NaN.  Otherwise checks
     ``(1 + epsilon) * sum(e) >= W(e)`` for every edge, where ``sum(e)`` is
     the potential sum over ``e``'s vertices, with a relative slack of
     ``1e-9 * W(e)`` for floating-point noise; a NaN product covers
@@ -130,6 +131,8 @@ def dual_feasible(hg: Hypergraph, dual: DualState) -> bool:
     A run with the GUARANTEE rule always ends in a feasible state.
     """
     potentials = dual.potentials
+    if len(potentials) != hg.n:  # an edge covered early never reads a missing one
+        return False
     # operator.le, not (0.0).__le__, whose NotImplemented for a Fraction
     # or Decimal would read as true
     if not all(map(operator.le, itertools.repeat(0.0), potentials)):

@@ -6,8 +6,8 @@ time, with the same float operations in the same order, so the tests can
 step a stream by hand and check the kernels against the fold.
 ``covers`` checks a dual on every edge's full potential sum, where
 ``dual_feasible`` stops at the first pin that covers the weight.
-``data_lines`` reads instance text whole, where the parser reads it a
-chunk at a time.
+``token_lines`` and ``data_lines`` read instance text whole, where the
+parser reads it a chunk at a time.
 """
 
 from __future__ import annotations
@@ -94,6 +94,15 @@ def try_swap(
 def matched_ids(best: list[Optional[int]]) -> list[int]:
     """Distinct ids of the edges ``best`` holds, ascending."""
     return sorted({eid for eid in best if eid is not None})
+
+
+def token_lines(source: str | bytes) -> Iterator[list[str]]:
+    """The tokens of every line of ``source``, blank and comment lines too.
+
+    Decodes the whole text and splits all of it into lines at once.
+    """
+    text = source.decode("utf-8") if isinstance(source, bytes) else source
+    return map(str.split, text.splitlines())
 
 
 def data_lines(source: str | bytes) -> Iterator[tuple[int, list[str]]]:

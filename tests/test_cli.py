@@ -356,6 +356,21 @@ def test_run_spec_is_complete_and_valid_when_built() -> None:
             cli.RunSpec("x.hgr", **bad)
 
 
+def test_run_spec_refuses_wrong_typed_counts_and_switches() -> None:
+    source = (5, 6, 2, 10)
+    for bad in ({"certify": "no"}, {"certify": 1}, {"emit_matching": "yes"},
+                {"emit_matching": None}, {"seed": True}, {"seed": 1.0}, {"seed": "1"},
+                {"repeat": "x"}, {"repeat": False}, {"repeat": 2.0}):
+        with pytest.raises(InvalidInput, match=next(iter(bad))):
+            cli.RunSpec(source, algorithm="naive", **bad)
+    for counts in ((5, True, 2, 10), (5, 6, 2.0, 10), (False, 6, 2, 10)):
+        with pytest.raises(InvalidInput, match="source must be a file path or"):
+            cli.RunSpec(counts, algorithm="naive")
+    spec = cli.RunSpec(source, algorithm="naive", seed=3, repeat=1, certify=True,
+                       emit_matching=False)
+    assert (spec.seed, spec.repeat, spec.instance_label()) == (3, 1, "gen:5,6,2,10")
+
+
 def test_oracle_record_validates_its_spec() -> None:
     for source in (None, (3, 2, 2), (3.0, 2, 2, 10)):
         with pytest.raises(InvalidInput, match="source must be a file path or"):

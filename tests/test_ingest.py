@@ -19,7 +19,7 @@ from hypermatch.ingest import (
 )
 
 from conftest import random_instances
-from reference import data_lines
+from reference import data_lines, token_lines
 
 
 def test_parse_unweighted() -> None:
@@ -98,6 +98,11 @@ def test_parse_errors_carry_line_numbers(text: str, line: int) -> None:
         ("2 3\n1 1\nx\n", 2, "vertex id 1 repeated on one edge"),  # the first bad line
         ("1 3 1\n5\n", 2, "edge has no vertices"),
         ("1 3\n1 9\n1 2\n", 3, "header declares 1 edges but 2 edge lines found"),
+        # the count is checked first, so malformed lines past m name the first of them
+        ("1 3\n1 2\n%\n\nx y\n0\n-3\n1 1\n", 5, "header declares 1 edges but 5 edge lines found"),
+        ("1 3 1\n5 1 2\nx y\n", 3, "header declares 1 edges but 2 edge lines found"),
+        ("3 3\n1 2\n2 3\n% c\n\n", 3, "header declares 3 edges but 2 edge lines found"),
+        ("% a\n% b\n2 3\n% c\n", 3, "header declares 2 edges but 0 edge lines found"),
     ],
 )
 def test_parse_error_messages(text: str, line: int, message: str) -> None:
@@ -140,16 +145,19 @@ def _outcome(source: str | bytes):
 
 
 def _assert_reads_as_whole_text(monkeypatch, source: str | bytes, chunks=SMALL_CHUNKS) -> None:
-    """Chunked reading gives the lines, and the parse the outcome, of the
-    whole-text reference reader, at every chunk size in ``chunks``."""
+    """Chunked reading gives the tokens and the numbered data lines, and the
+    parse the outcome, of the whole-text reference reader, at every chunk
+    size in ``chunks``."""
     with monkeypatch.context() as patch:
-        patch.setattr(ingest, "_data_lines", data_lines)
+        patch.setattr(ingest, "_token_lines", token_lines)
         expected = _outcome(source)
+    tokens = list(token_lines(source))
     lines = list(data_lines(source))
     for chunk in chunks:
         with monkeypatch.context() as patch:
             patch.setattr(ingest, "_CHUNK", chunk)
-            assert list(ingest._data_lines(source)) == lines, (chunk, source)
+            assert list(ingest._token_lines(source)) == tokens, (chunk, source)
+            assert list(ingest._data_lines(ingest._token_lines(source))) == lines, (chunk, source)
             assert _outcome(source) == expected, (chunk, source)
 
 
@@ -164,6 +172,14 @@ def _assert_reads_as_whole_text(monkeypatch, source: str | bytes, chunks=SMALL_C
         "% caf\u00e9\n2 3\n1 2\n2 x\n",  # a bad token after a multi-byte line
         "1 3\n1 9\n1 2\n",  # more edge lines than declared
         "2 3\n1 1\nx\n",  # the first bad line is reported
+        "2 3\n1 2\n2 3\n% trailing\n\n  \n1 3\n",  # an extra edge after comments and blanks
+        "1 3\n1 2\nx y\n",  # extra lines that are malformed themselves
+        "1 3\n1 2\n0\n",
+        "1 3\n1 2\n-3\n",
+        "1 3\n1 2\n1 1\n",
+        "1 3 1\n5 1 2\nx y\n0\n-3\n1 1\n",
+        "3 3\n1 2\n2 3\n% c\n\n% d\n",  # too few edges, then comments
+        "% comment one\n%\n\n% comment two\n2 3\n1 2\n2 3\n1 3\n",  # a late header
     ]
     + [f"% c{sep}2 3 1{sep}{sep}5 1 2{sep}7 2 3{sep}" for sep in LINE_BREAKS]
     + [f"2 3\n1 2{sep}% c\n2 3\n" for sep in LINE_BREAKS],  # a break inside a chunk

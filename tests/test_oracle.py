@@ -142,6 +142,13 @@ def test_oracle_limits_reject_out_of_range_caps() -> None:
     assert exact_max_weight_matching(Hypergraph(2, (), ()), smallest).weight == 0.0
 
 
+def test_oracle_limits_refuse_caps_that_are_not_ints() -> None:
+    for bad in ({"max_edges": True}, {"max_edges": 2.5}, {"max_edges": "24"},
+                {"max_nodes_expanded": 1.5}, {"max_nodes_expanded": True}):
+        with pytest.raises(InvalidInput, match=next(iter(bad))):
+            OracleLimits(**bad)
+
+
 def test_is_maximal_examples() -> None:
     hg = Hypergraph.build(4, [((0, 1), 3.0), ((2, 3), 3.0), ((1, 2), 5.0)])
     empty = Matching.from_edge_ids(hg, [])

@@ -165,6 +165,15 @@ def test_dual_feasible_refuses_negative_and_nan_potentials() -> None:
     assert dual_feasible(hg, DualState([1.0, -0.0], 0.0))
 
 
+def test_dual_feasible_needs_one_potential_per_vertex() -> None:
+    # edge 0 is covered at vertex 0, before the missing potential of vertex 2
+    hg = Hypergraph(3, [(0, 2), (1,)], [1.0, 1.0])
+    assert dual_feasible(hg, DualState([1.0, 1.0, 0.0], 0.0))
+    assert not dual_feasible(hg, DualState([1.0, 1.0], 0.0))
+    assert not dual_feasible(hg, DualState([1.0], 0.0))
+    assert not dual_feasible(hg, DualState([1.0, 1.0, 0.0, 0.0], 0.0))
+
+
 def test_dual_upper_bound_scales_with_epsilon() -> None:
     dual = DualState([1.0, 3.0, 2.0], 1.0)
     assert dual_upper_bound(dual) == 12.0
