@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from array import array
 from dataclasses import dataclass, field, fields
@@ -276,23 +277,33 @@ def grid(specs: Iterable[RunSpec]) -> Iterator[ResultRecord]:
     instance once per seed and weight scheme.  Each loaded instance orders
     each distinct (order, seed) stream once.  The cache holds one source
     at a time, since ``expand_grid`` iterates sources outermost.  A failed
-    load is not cached, so every cell of a bad source gets its own error.
+    load is cached too, as its error text, so a bad source is read once and
+    every cell of it gets its own row with that error.
     """
     source = None
-    loaded: dict[tuple, _LoadedInstance] = {}
+    loaded: dict[tuple, Union[_LoadedInstance, str]] = {}
     for spec in specs:
         # --seed changes a generated instance but not a file's contents
         key = (spec.source, spec.weights, None if isinstance(spec.source, str) else spec.seed)
         if key[0] != source:
             source = key[0]
             loaded.clear()
+        instance = loaded.get(key)  # None: the last source's instance is not held during a load
+        if instance is None:
+            try:
+                instance = loaded[key] = _LoadedInstance(load_instance(spec))
+            except tuple(INPUT_FAILURES) as exc:
+                instance = loaded[key] = _error_text(exc)
         try:
-            if key not in loaded:
-                loaded[key] = _LoadedInstance(load_instance(spec))
-            record = _run_cell(spec, loaded[key])
+            record = (_run_cell(spec, instance) if isinstance(instance, _LoadedInstance)
+                      else ResultRecord.for_spec(spec, error=instance))
         except tuple(INPUT_FAILURES) as exc:
-            record = ResultRecord.for_spec(spec, error=f"{type(exc).__name__}: {exc}")
+            record = ResultRecord.for_spec(spec, error=_error_text(exc))
         yield record
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def expand_grid(
@@ -390,11 +401,6 @@ def _parse_alpha(text: str) -> Union[float, str]:
             f"--alpha must be a number or 'auto', got {text!r}") from None
 
 
-# Flags that grid repeats, one value per point of an axis, and that run
-# and oracle take at most once.
-AXIS_FLAGS = ("input", "gen", "seed", "algorithm", "epsilon", "alpha", "order")
-
-
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", action="append", metavar="FILE",
                         help="instance file in hMetis text format")
@@ -462,51 +468,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _single_spec(args, **cell) -> RunSpec:
-    """The spec of a single-source subcommand (``run`` or ``oracle``)."""
-    if (args.input is None) == (args.gen is None):
-        raise InvalidInput("exactly one of --input and --gen is required")
-    return RunSpec(
-        source=args.input if args.gen is None else _parse_gen(args.gen),
-        weights=WeightScheme(args.weights),
-        seed=args.seed if args.seed is not None else 0,
-        **cell,
-    )
-
-
 def _records(args) -> Iterable[ResultRecord]:
     """The subcommand's records: computed for ``run`` and ``oracle``, so
     they fail before any output is opened; lazy for ``grid``, so rows stream."""
-    if args.command == "run":
-        spec = _single_spec(
-            args,
-            algorithm=args.algorithm,
-            epsilon=args.epsilon,
-            alpha=args.alpha,
-            order=StreamOrder(args.order or "original"),
-            certify=args.certify,
-            emit_matching=args.emit_matching,
-        )
-        return [run(spec)]
-    if args.command == "oracle":
-        limits = OracleLimits(max_edges=args.max_edges)
-        return [oracle_record(_single_spec(args), limits)]
+    limits = OracleLimits(max_edges=args.max_edges) if args.command == "oracle" else None
+    if args.command != "grid" and (args.input is None) == (args.gen is None):
+        raise InvalidInput("exactly one of --input and --gen is required")
     sources = [*(args.input or []), *map(_parse_gen, args.gen or [])]
     if not sources:
         raise InvalidInput("grid needs at least one --input or --gen")
+    if args.output is not None and os.path.exists(args.output):
+        for path in filter(os.path.exists, args.input or []):  # a missing file matches nothing
+            if os.path.samefile(path, args.output):
+                raise InvalidInput(f"--output {args.output!r} would overwrite --input {path!r}")
+    weights, seeds = WeightScheme(args.weights), args.seed or [0]
+    if args.command == "oracle":
+        return [oracle_record(RunSpec(source=sources[0], weights=weights, seed=seeds[0]), limits)]
+    epsilons, alphas = args.epsilon or [None], args.alpha or [None]
+    orders = [StreamOrder(o) for o in args.order or ["original"]]
+    cell = dict(weights=weights, certify=args.certify, emit_matching=args.emit_matching)
+    if args.command == "run":
+        spec = RunSpec(source=sources[0], algorithm=args.algorithm[0], epsilon=epsilons[0],
+                       alpha=alphas[0], order=orders[0], seed=seeds[0], **cell)
+        return [run(spec)]
     if args.repeats < 1:
         raise InvalidInput(f"--repeats must be at least 1, got {args.repeats}")
     specs = expand_grid(
         sources=sources,
         algorithms=args.algorithm,
-        epsilons=args.epsilon or [None],
-        alphas=args.alpha or [None],
-        orders=[StreamOrder(o) for o in args.order or ["original"]],
-        seeds=args.seed or [0],
+        epsilons=epsilons,
+        alphas=alphas,
+        orders=orders,
+        seeds=seeds,
         repeats=args.repeats,
-        weights=WeightScheme(args.weights),
-        certify=args.certify,
-        emit_matching=args.emit_matching,
+        **cell,
     )
     return grid(specs)
 
@@ -514,13 +509,10 @@ def _records(args) -> Iterable[ResultRecord]:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command != "grid":
-        for name in AXIS_FLAGS:
-            values = getattr(args, name, None)
-            if values:
-                if len(values) > 1:
-                    parser.error(f"argument --{name}: given more than once")
-                setattr(args, name, values[0])
+    if args.command != "grid":  # the flags given with action="append" repeat only in a grid
+        for name, values in vars(args).items():
+            if isinstance(values, list) and len(values) > 1:
+                parser.error(f"argument --{name}: given more than once")
     try:
         records = _records(args)
         if args.output is None:

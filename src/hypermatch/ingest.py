@@ -175,11 +175,17 @@ def _spelled_ids(canonical, top: int, size: int):
 
     Measured against ``int()`` plus an index on random texts of edges with
     1-8 pins, 20-45 pins per id (Python 3.11): the table parses 9-20%
-    faster with 5e3 to 3.2e4 ids, no faster with 5e4 and 11-15% slower
-    with 1e5, whose entries (about 100 bytes each) no longer stay in the
-    cache: hence ``_SPELLED_IDS_MAX``.  ``_TEXT_PER_SPELLED_ID`` keeps the
-    table smaller than the text and asks for about 20 pins per id to pay
-    for building it.
+    faster with 5e3 to 3.2e4 ids.  On the 1e6-edge text of
+    ``bench/instances.random_instance(100000, 1000000, 8, 100, 1)``, with
+    the table forced on, it parses 9-14% faster with 1e5 ids (1.98 against
+    2.23 s in-process, 6 of 6 pairs; peak RSS 192 against 188 MB) and no
+    faster with 3e5 ids (6.4-7.5 against 6.4-7.0 s, slower in 2 of 3
+    pairs; 550 against 542 MB), whose entries (about 100 bytes each) no
+    longer stay in the cache.  So the crossover lies between 1e5 and 3e5
+    ids.  ``_SPELLED_IDS_MAX`` stays at 2^15 until a benchmark workload on
+    each side of the rule can gate moving it.  ``_TEXT_PER_SPELLED_ID``
+    keeps the table smaller than the text and asks for about 20 pins per
+    id to pay for building it.
     """
     if top > min(size // _TEXT_PER_SPELLED_ID, _SPELLED_IDS_MAX):
         return None

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -499,6 +500,8 @@ def test_run_and_oracle_refuse_repeated_flags(tmp_path, capsys) -> None:
     for argv, flag in (
         (run + ["--algorithm", "naive"], "--algorithm"),
         (run + ["--seed", "1", "--seed", "2"], "--seed"),
+        # two flags repeat: the first in the parser's order is named
+        (run + ["--algorithm", "naive", "--seed", "1", "--seed", "2"], "--seed"),
         (run + ["--gen", "5,6,2,10"], "--gen"),
         (run + ["--epsilon", "0", "--epsilon", "1"], "--epsilon"),
         (run + ["--order", "random", "--order", "random"], "--order"),
@@ -534,6 +537,35 @@ def test_both_or_neither_source_exits_2(tmp_path, capsys) -> None:
     assert code == 2
 
 
+def test_front_end_errors_keep_their_precedence(tmp_path, capsys) -> None:
+    path = tmp_path / "two.hgr"
+    path.write_text(TWO_EDGE_FILE)
+    one_source = "exactly one of --input and --gen is required"
+    both = ["--input", str(path), "--gen", "5,6,2,10"]
+    cases = [
+        (["run", "--algorithm", "naive"], one_source),
+        (["run", *both, "--algorithm", "naive"], one_source),
+        # the source rule comes before the --gen format
+        (["run", "--input", str(path), "--gen", "5,5", "--algorithm", "naive"], one_source),
+        (["oracle"], one_source),
+        (["oracle", *both], one_source),
+        (["oracle", "--input", str(path), "--gen", "5,5"], one_source),
+        # the oracle's cap comes before the source rule
+        (["oracle", *both, "--max-edges", "-1"], "max_edges must be non-negative, got -1"),
+        # in a grid: the --gen format, then a missing source, then --repeats
+        (["grid", "--gen", "5,5", "--algorithm", "naive", "--repeats", "0"],
+         "--gen wants n,m,d_max,w_max, got '5,5'"),
+        (["grid", "--algorithm", "naive", "--repeats", "0"],
+         "grid needs at least one --input or --gen"),
+        (["grid", "--gen", "5,6,2,10", "--algorithm", "naive", "--repeats", "0"],
+         "--repeats must be at least 1, got 0"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err) == {"error": "invalid_input", "message": message}, argv
+
+
 def test_output_file_option(tmp_path, capsys) -> None:
     target = tmp_path / "records.csv"
     code, out, _ = run_cli(
@@ -563,6 +595,74 @@ def test_failed_command_leaves_existing_output_intact(tmp_path, capsys) -> None:
     assert code == 3
     assert json.loads(err)["error"] == "too_large"
     assert target.read_text() == "keep"
+
+
+def test_output_naming_an_input_file_is_refused(tmp_path, capsys) -> None:
+    path, link, hard = tmp_path / "two.hgr", tmp_path / "link.hgr", tmp_path / "hard.hgr"
+    path.write_text(TWO_EDGE_FILE)
+    link.symlink_to(path)
+    hard.hardlink_to(path)
+    argvs = [[*command, "--input", str(source), "--output", str(output)]
+             for command in (["run", "--algorithm", "naive"], ["grid", "--algorithm", "naive"],
+                             ["oracle"])
+             for source, output in ((path, path), (path, link), (link, path), (path, hard))]
+    argvs.append(["grid", "--gen", "5,6,2,10", "--input", str(tmp_path / "missing.hgr"),
+                  "--input", str(path), "--algorithm", "naive", "--output", str(hard)])
+    for argv in argvs:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        message = json.loads(err)
+        assert message["error"] == "invalid_input"
+        assert "would overwrite --input" in message["message"]
+        assert path.read_bytes() == TWO_EDGE_FILE.encode()
+    # an output that does not exist yet matches no input, even a missing one
+    missing = tmp_path / "missing.hgr"
+    code, out, _ = run_cli(["grid", "--input", str(missing), "--gen", "5,6,2,10",
+                            "--algorithm", "naive", "--output", str(missing)], capsys)
+    assert code == 2
+    assert [row["error"] != "" for row in csv_rows(missing.read_text())] == [True, False]
+
+
+def test_grid_loads_a_failing_source_once(tmp_path, monkeypatch, capsys) -> None:
+    bad = tmp_path / "bad.hgr"
+    bad.write_text(TWO_EDGE_FILE + "1 2\n")
+    calls = []
+    load = cli.load_instance
+
+    def counting_load(spec):
+        calls.append(spec.source)
+        return load(spec)
+
+    monkeypatch.setattr(cli, "load_instance", counting_load)
+    code, out, _ = run_cli(
+        ["grid", "--input", str(bad), "--gen", "5,6,2,10",
+         *(arg for a in cli.ALGORITHMS for arg in ("--algorithm", a)),
+         "--order", "original", "--order", "random"],
+        capsys,
+    )
+    assert code == 2
+    assert calls == [str(bad), (5, 6, 2, 10)]
+    rows = csv_rows(out)
+    assert len(rows) == 20
+    errors = {row["error"] for row in rows[:10]}
+    assert errors == {"ParseError: line 4: header declares 2 edges but 3 edge lines found"}
+    assert all(row["error"] == "" for row in rows[10:])
+
+
+def test_grid_holds_one_source_at_a_time(monkeypatch) -> None:
+    alive = []
+    load = cli.load_instance
+
+    def tracking_load(spec):
+        assert all(ref() is None for ref in alive), "an earlier source is still held"
+        hg = load(spec)
+        alive.append(weakref.ref(hg))
+        return hg
+
+    monkeypatch.setattr(cli, "load_instance", tracking_load)
+    specs = [cli.RunSpec(source, algorithm="naive") for source in ((5, 6, 2, 10), (6, 7, 2, 10))]
+    assert all(record.error is None for record in cli.grid(specs))
+    assert len(alive) == 2
 
 
 def test_alpha_zero_is_accepted_by_cli(capsys) -> None:
