@@ -5,6 +5,7 @@ from .core import (
     InvalidInput,
     Matching,
     RunMetrics,
+    Stream,
     validate_matching,
 )
 from .ingest import (
@@ -41,6 +42,7 @@ __all__ = [
     "InvalidInput",
     "Matching",
     "RunMetrics",
+    "Stream",
     "validate_matching",
     "ParseError",
     "StreamOrder",

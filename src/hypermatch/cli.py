@@ -22,13 +22,12 @@ import csv
 import json
 import os
 import sys
-from array import array
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Optional, TextIO, Union
 
-from .core import Hypergraph, InvalidInput, RunMetrics
+from .core import Hypergraph, InvalidInput, RunMetrics, Stream
 from .ingest import (
     ParseError,
     StreamOrder,
@@ -209,19 +208,19 @@ class _LoadedInstance:
     hg: Hypergraph
     streams: dict = field(default_factory=dict)
 
-    def stream(self, order: StreamOrder, seed: int) -> array:
-        """The edge ids in ``order``, as the cached array.
+    def stream(self, order: StreamOrder, seed: int) -> Stream:
+        """The edge ids in ``order``, as the cached :class:`Stream`.
 
-        Each distinct stream is ordered once and kept as a compact array,
-        8 bytes per edge; a run reads it into the one list it iterates.
+        Each distinct stream is ordered once and kept, 8 bytes per edge;
+        every run iterates that same stream, with no copy and no check.
         Only the random order reads the seed, so the other orders are kept
         once whatever the seed.
         """
         key = (order, seed) if order is StreamOrder.RANDOM else order
-        ids = self.streams.get(key)
-        if ids is None:
-            ids = self.streams[key] = array("q", order_stream(self.hg, order, seed))
-        return ids
+        stream = self.streams.get(key)
+        if stream is None:
+            stream = self.streams[key] = order_stream(self.hg, order, seed)
+        return stream
 
     @cached_property
     def oracle_weight(self) -> Optional[float]:

@@ -7,7 +7,8 @@ the input, and that position doubles as the canonical tie-breaker
 everywhere ordering matters.  Every algorithm indexes the two arrays by
 edge id.  Weights are positive 64-bit floats; unit weights are the value
 ``1.0``.  A matching is a set of pairwise vertex-disjoint edge ids together
-with its cached total weight.
+with its cached total weight.  A stream is a permutation of the edge ids in
+presentation order, held as a read-only :class:`Stream`.
 
 Float totals throughout the package are explicit left-to-right loops, not
 ``sum()``: from Python 3.12 on, ``sum`` of floats is compensated, so
@@ -18,8 +19,9 @@ would the records.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 
 class InvalidInput(ValueError):
@@ -170,13 +172,63 @@ def first_fit(hg: Hypergraph, stream: Iterable[int]) -> list[int]:
     return chosen
 
 
-def check_stream(hg: Hypergraph, stream: Iterable[int]) -> list[int]:
-    """Read ``stream`` once into a new list and return it, raising
-    InvalidInput unless it is a permutation of the edge ids."""
-    stream = list(stream)
+class Stream:
+    """A read-only permutation of edge ids, in presentation order.
+
+    The ids are packed into one ``array("q")``, 8 bytes per edge, instead
+    of a list of int objects.  The constructor reads ``ids`` once and
+    raises :func:`check_stream`'s InvalidInput unless they are a
+    permutation of ``0..len-1``; with no mutating methods the permutation
+    then holds for the stream's life, so :func:`check_stream` takes it as
+    is.  A stream has no ``__eq__``: compare ``list(stream)``.
+    """
+
+    __slots__ = ("_ids",)
+
+    def __init__(self, ids: Iterable[int]) -> None:
+        ids = list(ids)
+        _check_permutation(ids)
+        self._ids = array("q", ids)
+
+    @classmethod
+    def _of_permutation(cls, ids: list[int]) -> "Stream":
+        """Pack ``ids``, already a permutation by construction, unchecked."""
+        stream = cls.__new__(cls)
+        stream._ids = array("q", ids)
+        return stream
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
+
+    def __getitem__(self, index: int) -> int:
+        return self._ids[index]
+
+
+def check_stream(hg: Hypergraph, stream: Iterable[int]) -> Union[Stream, list[int]]:
+    """The edge ids of ``stream`` checked to be a permutation of ``hg``'s,
+    raising InvalidInput otherwise.
+
+    A :class:`Stream` was checked when it was made, so only its length is
+    compared and it is returned as is.  Any other iterable is read once
+    into a new list, which is checked and returned.
+    """
+    # a subclass could iterate otherwise, so only Stream itself is trusted
+    checked = type(stream) is Stream
+    if not checked:
+        stream = list(stream)
     if len(stream) != hg.m:
         raise InvalidInput(f"stream has {len(stream)} entries for {hg.m} edges")
-    m = hg.m
+    if not checked:
+        _check_permutation(stream)
+    return stream
+
+
+def _check_permutation(stream: list[int]) -> None:
+    """Raise InvalidInput unless ``stream`` is a permutation of ``0..len-1``."""
+    m = len(stream)
     seen = [False] * m
     try:
         for eid in stream:
@@ -192,7 +244,6 @@ def check_stream(hg: Hypergraph, stream: Iterable[int]) -> list[int]:
         entry = stream[stream.index(eid)]
         if type(entry) is bool:
             raise InvalidInput(f"stream entries must be integer edge ids, got {entry!r}")
-    return stream
 
 
 def validate_matching(hg: Hypergraph, matching: Matching) -> bool:

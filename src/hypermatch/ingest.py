@@ -26,7 +26,7 @@ import math
 import random
 from typing import Iterator, Optional
 
-from .core import Hypergraph, InvalidInput
+from .core import Hypergraph, InvalidInput, Stream
 
 _CHUNK = 1 << 16  # characters or bytes of text split into lines at a time
 _TEXT_PER_SPELLED_ID = 128  # least text per id for the spelling table
@@ -297,8 +297,8 @@ def synthesize_weights(hg: Hypergraph, scheme: WeightScheme) -> Hypergraph:
     raise InvalidInput(f"unknown weight scheme {scheme!r}")
 
 
-def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> list[int]:
-    """Edge ids in presentation order.  Always a permutation of 0..m-1.
+def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> Stream:
+    """Edge ids in presentation order, as a :class:`Stream` of all ``m`` ids.
 
     ASCENDING sorts by (weight, id), DESCENDING by (-weight, id): one
     stable sort by weight, reversed for DESCENDING, keeps equal-weight
@@ -309,14 +309,17 @@ def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> list[int]
     ``random.shuffle``'s internals, which a later Python may change; it
     draws exactly the bits that ``random.Random(seed).shuffle`` draws on
     CPython 3.10-3.13 and gives the same permutation.
+
+    The ids are ordered in a list, which shuffles faster than the packed
+    array, and packed once at the end without a check: a sort or shuffle
+    of ``range(m)`` is a permutation by construction.
     """
     ids = list(range(hg.m))
     if order is StreamOrder.ORIGINAL:
-        return ids
-    if order is StreamOrder.ASCENDING or order is StreamOrder.DESCENDING:
+        pass
+    elif order is StreamOrder.ASCENDING or order is StreamOrder.DESCENDING:
         ids.sort(key=hg.weights.__getitem__, reverse=order is StreamOrder.DESCENDING)
-        return ids
-    if order is StreamOrder.RANDOM:
+    elif order is StreamOrder.RANDOM:
         getrandbits = random.Random(seed).getrandbits
         for i in range(hg.m - 1, 0, -1):
             # j uniform in 0..i by rejection: draw as many bits as i + 1 has
@@ -325,8 +328,9 @@ def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> list[int]
             while j > i:
                 j = getrandbits(k)
             ids[i], ids[j] = ids[j], ids[i]
-        return ids
-    raise InvalidInput(f"unknown stream order {order!r}")
+    else:
+        raise InvalidInput(f"unknown stream order {order!r}")
+    return Stream._of_permutation(ids)
 
 
 def gen_random_hypergraph(n: int, m: int, d_max: int, w_max: int, seed: int) -> Hypergraph:

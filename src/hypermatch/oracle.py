@@ -144,7 +144,10 @@ def exhaustive_max_weight_matching(hg: Hypergraph) -> Matching:
     visits each matching once and tests each other subset at most once, as
     a matching plus a conflicting last edge: O(2^m) in all, with no
     ordering by weight and no bound.  A fixed cap of 20 edges (TooLarge
-    beyond it) keeps that honest.
+    beyond it) keeps that honest.  The walk meets the matchings in
+    lexicographic order of their ascending id tuples, a matching before
+    its extensions, so the first optimum it meets is already the smallest
+    and only a heavier matching replaces it.
     """
     if hg.m > 20:
         raise TooLarge(f"{hg.m} edges exceeds the enumeration cap of 20")
@@ -159,11 +162,9 @@ def exhaustive_max_weight_matching(hg: Hypergraph) -> Matching:
     def extend(start: int, used: int, weight: int) -> None:
         # chosen is a matching over vertex mask used; extend it by edges >= start
         nonlocal best_weight, best_ids
-        if weight >= best_weight:
-            ids = tuple(chosen)
-            if weight > best_weight or ids < best_ids:
-                best_weight = weight
-                best_ids = ids
+        if weight > best_weight:
+            best_weight = weight
+            best_ids = tuple(chosen)
         for eid in range(start, m):
             if not used & masks[eid]:
                 chosen.append(eid)

@@ -35,8 +35,9 @@ def run_swapset(
 ) -> tuple[Matching, RunMetrics]:
     """Run the swap matcher over ``stream``.
 
-    ``stream`` may be any iterable that yields a permutation of the edge
-    ids; it is read once.  ``alpha`` must be non-negative and finite.
+    ``stream`` is a :class:`Stream` of all the edge ids, taken as is, or
+    any iterable that yields a permutation of them, read once into a
+    checked list.  ``alpha`` must be non-negative and finite.
     ``metrics.swaps`` counts evicted edges.
     """
     stream = check_stream(hg, stream)

@@ -218,6 +218,21 @@ def test_grid_records_cell_errors_and_continues(tmp_path, capsys) -> None:
     assert rows[1]["matching_weight"] != ""
 
 
+def test_grid_json_records_cell_errors_and_continues(tmp_path, capsys) -> None:
+    missing = tmp_path / "missing.hgr"
+    code, out, _ = run_cli(
+        ["grid", "--input", str(missing), "--gen", "5,6,2,10",
+         "--algorithm", "naive", "--format", "json"],
+        capsys,
+    )
+    assert code == 2
+    failed, solved = json.loads(out)
+    assert failed["error"].startswith("FileNotFoundError")
+    assert failed["matching_weight"] is None
+    assert solved["error"] is None
+    assert solved["matching_weight"] > 0
+
+
 def test_grid_error_rows_record_the_resolved_knobs(tmp_path) -> None:
     # the knobs of a successful run: defaults filled in for the algorithm's own
     resolved = [(0.0, None), (0.0, None), (None, "auto"), (None, None), (None, None)]

@@ -1,18 +1,26 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import pytest
 
+from hypermatch.baselines import run_naive
 from hypermatch.core import (
     Hypergraph,
     InvalidInput,
     Matching,
     RunMetrics,
+    Stream,
     check_stream,
     validate_matching,
 )
+from hypermatch.ingest import StreamOrder, order_stream
+from hypermatch.stack_matcher import UpdateRule, run_stack_stream
+from hypermatch.swap_matcher import run_swapset
+
+from conftest import random_instances
 
 
 def test_hypergraph_derived_fields() -> None:
@@ -126,6 +134,8 @@ def test_validate_matching_weight_tolerance_is_relative() -> None:
     m = Matching.from_edge_ids(hg, [0])
     nudged = Matching(m.edge_ids, m.weight * (1 + 1e-13))
     assert validate_matching(hg, nudged)
+    # off by 1.0 absolute, far under 1e-6 relative, yet over the 1e-12 bound
+    assert not validate_matching(hg, Matching(m.edge_ids, m.weight * (1 + 1e-9)))
 
 
 def test_matching_weight_examples() -> None:
@@ -161,6 +171,52 @@ def test_check_stream() -> None:
     for stream in ([2, False, 1], [2, 0, True], [True, False, 2]):
         with pytest.raises(InvalidInput, match="integer edge ids"):
             check_stream(hg, stream)
+
+
+def test_check_stream_takes_a_stream_as_is() -> None:
+    hg = Hypergraph.build(3, [((0,), 1.0), ((1,), 1.0), ((2,), 1.0)])
+    stream = Stream([2, 0, 1])
+    assert check_stream(hg, stream) is stream
+    with pytest.raises(InvalidInput, match="^stream has 2 entries for 3 edges$"):
+        check_stream(hg, Stream([1, 0]))
+
+
+def test_stream_is_read_only() -> None:
+    stream = Stream([1, 0])
+    with pytest.raises(TypeError):
+        stream[0] = 0
+    assert (len(stream), list(stream), stream[0], stream[-1]) == (2, [1, 0], 1, 0)
+
+
+@pytest.mark.parametrize(
+    "ids,message",
+    [
+        ([0, 0], "stream is not a permutation of edge ids: 0"),
+        ([0, 2], "stream is not a permutation of edge ids: 2"),
+        ([0, 1.0], "stream entries must be integer edge ids, got 1.0"),
+        ([True, 0], "stream entries must be integer edge ids, got True"),
+    ],
+)
+def test_stream_refuses_what_check_stream_refuses(ids: list, message: str) -> None:
+    hg = Hypergraph.build(2, [((0,), 1.0), ((1,), 1.0)])
+    for make in (Stream, lambda ids: check_stream(hg, ids)):
+        with pytest.raises(InvalidInput) as exc_info:
+            make(ids)
+        assert str(exc_info.value) == message
+
+
+def test_kernels_read_a_stream_as_its_list() -> None:
+    def records(hg: Hypergraph, stream) -> list:
+        runs = [run_naive(hg, stream), run_swapset(hg, stream, 0.5)]
+        for rule in UpdateRule:
+            matching, dual, metrics = run_stack_stream(hg, stream, 0.1, rule)
+            runs.append((matching, dual.potentials, metrics))
+        return [(*run[:-1], dataclasses.replace(run[-1], runtime_ns=0)) for run in runs]
+
+    for hg in random_instances(40, meta_seed=109):
+        for order in StreamOrder:
+            stream = order_stream(hg, order, seed=3)
+            assert records(hg, stream) == records(hg, list(stream))
 
 
 def test_run_metrics_defaults() -> None:

@@ -96,6 +96,7 @@ def test_parse_errors_carry_line_numbers(text: str, line: int) -> None:
         ("1 3\n1 x\n", 2, "non-numeric vertex token 'x'"),
         ("1 3\n2 2 9\n", 2, "vertex id 9 outside 1..3"),  # the range fault wins
         ("2 3\n1 1\nx\n", 2, "vertex id 1 repeated on one edge"),  # the first bad line
+        ("2 3\n3 1 3 1\n1 2\n", 2, "vertex id 3 repeated on one edge"),  # the first repeat
         ("1 3 1\n5\n", 2, "edge has no vertices"),
         ("1 3\n1 9\n1 2\n", 3, "header declares 1 edges but 2 edge lines found"),
         # the count is checked first, so malformed lines past m name the first of them
@@ -353,21 +354,21 @@ def test_synthesize_empty_hypergraph() -> None:
 
 def test_order_examples() -> None:
     hg = parse_hmetis("3 4 1\n3 1 2\n1 2 3\n2 3 4\n")  # weights 3, 1, 2
-    assert order_stream(hg, StreamOrder.ORIGINAL) == [0, 1, 2]
-    assert order_stream(hg, StreamOrder.ASCENDING) == [1, 2, 0]
-    assert order_stream(hg, StreamOrder.DESCENDING) == [0, 2, 1]
+    assert list(order_stream(hg, StreamOrder.ORIGINAL)) == [0, 1, 2]
+    assert list(order_stream(hg, StreamOrder.ASCENDING)) == [1, 2, 0]
+    assert list(order_stream(hg, StreamOrder.DESCENDING)) == [0, 2, 1]
 
 
 def test_order_ties_keep_input_order() -> None:
     hg = parse_hmetis("2 3 1\n5 1 2\n5 2 3\n")
-    assert order_stream(hg, StreamOrder.ASCENDING) == [0, 1]
-    assert order_stream(hg, StreamOrder.DESCENDING) == [0, 1]
+    assert list(order_stream(hg, StreamOrder.ASCENDING)) == [0, 1]
+    assert list(order_stream(hg, StreamOrder.DESCENDING)) == [0, 1]
 
 
 def test_order_random_deterministic_per_seed() -> None:
     hg = gen_random_hypergraph(8, 12, 3, 10, seed=0)
     first = order_stream(hg, StreamOrder.RANDOM, seed=42)
-    assert order_stream(hg, StreamOrder.RANDOM, seed=42) == first
+    assert list(order_stream(hg, StreamOrder.RANDOM, seed=42)) == list(first)
     assert sorted(first) == list(range(12))
 
 
@@ -377,7 +378,7 @@ def test_order_random_is_random_shuffle(seed: int) -> None:
         hg = Hypergraph(1, [(0,)] * m, [1.0] * m)
         expected = list(range(m))
         random.Random(seed).shuffle(expected)
-        assert order_stream(hg, StreamOrder.RANDOM, seed) == expected, m
+        assert list(order_stream(hg, StreamOrder.RANDOM, seed)) == expected, m
 
 
 def test_order_always_a_permutation() -> None:
@@ -390,12 +391,12 @@ def test_reversed_ascending_equals_descending_iff_distinct() -> None:
     distinct = parse_hmetis("3 4 1\n3 1 2\n1 2 3\n2 3 4\n")
     assert (
         list(reversed(order_stream(distinct, StreamOrder.ASCENDING)))
-        == order_stream(distinct, StreamOrder.DESCENDING)
+        == list(order_stream(distinct, StreamOrder.DESCENDING))
     )
     tied = parse_hmetis("2 3 1\n5 1 2\n5 2 3\n")
     assert (
         list(reversed(order_stream(tied, StreamOrder.ASCENDING)))
-        != order_stream(tied, StreamOrder.DESCENDING)
+        != list(order_stream(tied, StreamOrder.DESCENDING))
     )
 
 
