@@ -17,9 +17,7 @@ from .ingest import StreamOrder, order_stream
 
 
 def run_naive(hg: Hypergraph, stream: Iterable[int]) -> tuple[Matching, RunMetrics]:
-    """First-fit over ``stream``: a :class:`Stream` of all the edge ids,
-    taken as is, or any iterable of a permutation of them, read once into
-    a checked list."""
+    """First-fit over ``stream``, read as :func:`check_stream` reads it."""
     stream = check_stream(hg, stream)
     metrics = RunMetrics()
     start = time.perf_counter_ns()

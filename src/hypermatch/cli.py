@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -164,7 +165,9 @@ class ResultRecord:
         return cls(**{**labels, **values})
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_COLUMNS}
+        """The record's JSON object.  JSON has no NaN or infinity, so a
+        non-finite float is written as its CSV text."""
+        return {name: _json_value(getattr(self, name)) for name in CSV_COLUMNS}
 
     def as_row(self) -> list[str]:
         return [_cell(getattr(self, name)) for name in CSV_COLUMNS]
@@ -179,6 +182,12 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+def _json_value(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return _cell(value)
+    return value
 
 
 def load_instance(spec: RunSpec) -> Hypergraph:
@@ -373,7 +382,7 @@ def emit(records: Iterable[ResultRecord], fmt: str, out: TextIO) -> int:
             errors += record.error is not None
     else:
         rows = [r.as_dict() for r in records]
-        json.dump(rows, out, indent=2)
+        json.dump(rows, out, indent=2, allow_nan=False)
         out.write("\n")
         errors = sum(row["error"] is not None for row in rows)
     return errors

@@ -8,7 +8,8 @@ everywhere ordering matters.  Every algorithm indexes the two arrays by
 edge id.  Weights are positive 64-bit floats; unit weights are the value
 ``1.0``.  A matching is a set of pairwise vertex-disjoint edge ids together
 with its cached total weight.  A stream is a permutation of the edge ids in
-presentation order, held as a read-only :class:`Stream`.
+presentation order, held as a read-only :class:`Stream`; every kernel
+iterates a Stream, which :func:`check_stream` makes of any other iterable.
 
 Float totals throughout the package are explicit left-to-right loops, not
 ``sum()``: from Python 3.12 on, ``sum`` of floats is compensated, so
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 
 class InvalidInput(ValueError):
@@ -177,17 +178,32 @@ class Stream:
 
     The ids are packed into one ``array("q")``, 8 bytes per edge, instead
     of a list of int objects.  The constructor reads ``ids`` once and
-    raises :func:`check_stream`'s InvalidInput unless they are a
-    permutation of ``0..len-1``; with no mutating methods the permutation
-    then holds for the stream's life, so :func:`check_stream` takes it as
-    is.  A stream has no ``__eq__``: compare ``list(stream)``.
+    raises InvalidInput unless they are a permutation of ``0..len-1``, the
+    package's one permutation check; with no mutating methods the
+    permutation then holds for the stream's life, so :func:`check_stream`
+    takes it as is.  A stream has no ``__eq__``: compare ``list(stream)``.
     """
 
     __slots__ = ("_ids",)
 
     def __init__(self, ids: Iterable[int]) -> None:
         ids = list(ids)
-        _check_permutation(ids)
+        m = len(ids)
+        seen = [False] * m
+        try:
+            for eid in ids:
+                if not 0 <= eid < m or seen[eid]:
+                    raise InvalidInput(f"stream is not a permutation of edge ids: {eid}")
+                seen[eid] = True
+        except TypeError:
+            # a float, None or string entry fails the comparison or the index
+            raise InvalidInput(f"stream entries must be integer edge ids, got {eid!r}") from None
+        # bool is a subclass of int, so True and False pass the loop as ids 1
+        # and 0; in a permutation only the entries equal to 0 and 1 can be bools
+        for eid in range(min(m, 2)):
+            entry = ids[ids.index(eid)]
+            if type(entry) is bool:
+                raise InvalidInput(f"stream entries must be integer edge ids, got {entry!r}")
         self._ids = array("q", ids)
 
     @classmethod
@@ -207,43 +223,19 @@ class Stream:
         return self._ids[index]
 
 
-def check_stream(hg: Hypergraph, stream: Iterable[int]) -> Union[Stream, list[int]]:
-    """The edge ids of ``stream`` checked to be a permutation of ``hg``'s,
-    raising InvalidInput otherwise.
+def check_stream(hg: Hypergraph, stream: Iterable[int]) -> Stream:
+    """The edge ids of ``stream`` as a :class:`Stream` of ``hg``'s edges,
+    raising InvalidInput unless they are a permutation of them.
 
     A :class:`Stream` was checked when it was made, so only its length is
-    compared and it is returned as is.  Any other iterable is read once
-    into a new list, which is checked and returned.
+    compared and it is returned as is.  Any other iterable is read once,
+    its length compared, and it is packed into a new, checked Stream.
     """
     # a subclass could iterate otherwise, so only Stream itself is trusted
-    checked = type(stream) is Stream
-    if not checked:
-        stream = list(stream)
-    if len(stream) != hg.m:
-        raise InvalidInput(f"stream has {len(stream)} entries for {hg.m} edges")
-    if not checked:
-        _check_permutation(stream)
-    return stream
-
-
-def _check_permutation(stream: list[int]) -> None:
-    """Raise InvalidInput unless ``stream`` is a permutation of ``0..len-1``."""
-    m = len(stream)
-    seen = [False] * m
-    try:
-        for eid in stream:
-            if not 0 <= eid < m or seen[eid]:
-                raise InvalidInput(f"stream is not a permutation of edge ids: {eid}")
-            seen[eid] = True
-    except TypeError:
-        # a float, None or string entry fails the comparison or the index
-        raise InvalidInput(f"stream entries must be integer edge ids, got {eid!r}") from None
-    # bool is a subclass of int, so True and False pass the loop as ids 1
-    # and 0; in a permutation only the entries equal to 0 and 1 can be bools
-    for eid in range(min(m, 2)):
-        entry = stream[stream.index(eid)]
-        if type(entry) is bool:
-            raise InvalidInput(f"stream entries must be integer edge ids, got {entry!r}")
+    ids = stream if type(stream) is Stream else list(stream)
+    if len(ids) != hg.m:
+        raise InvalidInput(f"stream has {len(ids)} entries for {hg.m} edges")
+    return stream if ids is stream else Stream(ids)
 
 
 def validate_matching(hg: Hypergraph, matching: Matching) -> bool:

@@ -24,6 +24,7 @@ import enum
 import itertools
 import math
 import random
+import sys
 from typing import Iterator, Optional
 
 from .core import Hypergraph, InvalidInput, Stream
@@ -338,7 +339,8 @@ def gen_random_hypergraph(n: int, m: int, d_max: int, w_max: int, seed: int) -> 
 
     Each edge has size uniform in [1, d_max] with vertices sampled without
     replacement, and an integer weight uniform in [1, w_max] stored as a
-    float.  The same arguments always produce the same instance.
+    float, so ``w_max`` is at most the largest float.  The same arguments
+    always produce the same instance.
     """
     if n < 1:
         raise InvalidInput(f"need at least one vertex, got n={n}")
@@ -348,6 +350,8 @@ def gen_random_hypergraph(n: int, m: int, d_max: int, w_max: int, seed: int) -> 
         raise InvalidInput(f"edge count must be non-negative, got {m}")
     if w_max < 1:
         raise InvalidInput(f"w_max must be at least 1, got {w_max}")
+    if w_max > sys.float_info.max:  # its draws could not be stored as floats
+        raise InvalidInput(f"w_max must be at most the largest float, {sys.float_info.max}")
     rng = random.Random(seed)
     vertices = []
     weights = []

@@ -67,11 +67,10 @@ def run_stack_stream(
 ) -> tuple[Matching, DualState, RunMetrics]:
     """Run the stack matcher over ``stream`` and unwind to a matching.
 
-    ``stream`` is a :class:`Stream` of all the edge ids, taken as is, or
-    any iterable that yields a permutation of them, read once into a
-    checked list.  Returns the matching, the final dual state, and
-    the run counters (pushes, pops, stack peaks, the maximum number of
-    pushes touching any one vertex, and runtime).
+    ``stream`` is read as :func:`check_stream` reads it.  Returns the
+    matching, the final dual state, and the run counters (pushes, pops,
+    stack peaks, the maximum number of pushes touching any one vertex,
+    and runtime).
     """
     stream = check_stream(hg, stream)
     dual = DualState.zeros(hg.n, epsilon)

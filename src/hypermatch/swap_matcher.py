@@ -35,10 +35,8 @@ def run_swapset(
 ) -> tuple[Matching, RunMetrics]:
     """Run the swap matcher over ``stream``.
 
-    ``stream`` is a :class:`Stream` of all the edge ids, taken as is, or
-    any iterable that yields a permutation of them, read once into a
-    checked list.  ``alpha`` must be non-negative and finite.
-    ``metrics.swaps`` counts evicted edges.
+    ``stream`` is read as :func:`check_stream` reads it.  ``alpha`` must
+    be non-negative and finite.  ``metrics.swaps`` counts evicted edges.
     """
     stream = check_stream(hg, stream)
     if not 0 <= alpha < math.inf:

@@ -447,6 +447,43 @@ def test_overflowing_weights_exit_2(tmp_path, capsys) -> None:
     assert csv_rows(out)[0]["error"].startswith("InvalidInput")
 
 
+def test_overflowing_w_max_exits_2(capsys) -> None:
+    gen = "5,5,2,1" + "0" * 400
+    code, out, err = run_cli(["run", "--gen", gen, "--algorithm", "naive"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "invalid_input"
+    code, out, _ = run_cli(
+        ["grid", "--gen", gen, "--gen", "5,5,2,10", "--algorithm", "naive"], capsys)
+    assert code == 2
+    failed, solved = csv_rows(out)
+    assert failed["error"].startswith("InvalidInput: w_max")
+    assert solved["error"] == "" and float(solved["matching_weight"]) > 0
+
+
+def _strict_json(text: str):
+    def refuse(constant: str):
+        raise ValueError(f"not RFC 8259 JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_writes_non_finite_floats_as_text(tmp_path, capsys) -> None:
+    code, out, _ = run_cli(
+        ["grid", "--gen", "5,5,2,10", "--algorithm", "stack", "--epsilon", "nan",
+         "--epsilon", "inf", "--format", "json"], capsys)
+    assert code == 2
+    assert [row["epsilon"] for row in _strict_json(out)] == ["nan", "inf"]
+    path = tmp_path / "huge.hgr"
+    path.write_text("1 2 1\n1e308 1 2\n")
+    code, out, _ = run_cli(["run", "--input", str(path), "--algorithm", "stack",
+                            "--certify", "--format", "json"], capsys)
+    assert code == 0
+    row, = _strict_json(out)
+    assert (row["dual_upper_bound"], row["matching_weight"]) == ("inf", 1e308)
+    code, out, _ = run_cli(["run", "--input", str(path), "--algorithm", "stack",
+                            "--certify"], capsys)
+    assert csv_rows(out)[0]["dual_upper_bound"] == "inf"
+
+
 def test_missing_file_exits_2(capsys) -> None:
     code, _, err = run_cli(["run", "--input", "/no/such/file.hgr",
                             "--algorithm", "naive"], capsys)

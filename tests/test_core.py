@@ -181,6 +181,34 @@ def test_check_stream_takes_a_stream_as_is() -> None:
         check_stream(hg, Stream([1, 0]))
 
 
+def test_check_stream_packs_any_iterable_into_a_stream() -> None:
+    hg = Hypergraph.build(3, [((0,), 1.0), ((1,), 1.0), ((2,), 1.0)])
+    for ids in ([2, 0, 1], (2, 0, 1), (eid for eid in [2, 0, 1])):
+        stream = check_stream(hg, ids)
+        assert type(stream) is Stream
+        assert list(stream) == [2, 0, 1]
+
+
+def test_check_stream_compares_the_length_first() -> None:
+    hg = Hypergraph.build(3, [((0,), 1.0), ((1,), 1.0), ((2,), 1.0)])
+    with pytest.raises(InvalidInput) as exc_info:
+        check_stream(hg, [0, 0])
+    assert str(exc_info.value) == "stream has 2 entries for 3 edges"
+
+
+def test_check_stream_checks_a_stream_subclass_again() -> None:
+    class Repeating(Stream):
+        __slots__ = ()
+
+        def __iter__(self):
+            return iter([0, 0])
+
+    hg = Hypergraph.build(2, [((0,), 1.0), ((1,), 1.0)])
+    with pytest.raises(InvalidInput) as exc_info:
+        check_stream(hg, Repeating([1, 0]))
+    assert str(exc_info.value) == "stream is not a permutation of edge ids: 0"
+
+
 def test_stream_is_read_only() -> None:
     stream = Stream([1, 0])
     with pytest.raises(TypeError):

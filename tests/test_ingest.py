@@ -425,7 +425,8 @@ def test_gen_respects_bounds() -> None:
 
 @pytest.mark.parametrize(
     "n,m,d_max,w_max",
-    [(0, 1, 1, 1), (3, 1, 0, 1), (3, 1, 4, 1), (3, -1, 2, 1), (3, 1, 2, 0)],
+    [(0, 1, 1, 1), (3, 1, 0, 1), (3, 1, 4, 1), (3, -1, 2, 1), (3, 1, 2, 0),
+     pytest.param(3, 1, 2, 10 ** 400, id="3-1-2-w_max_past_the_largest_float")],
 )
 def test_gen_rejects_bad_parameters(n, m, d_max, w_max) -> None:
     with pytest.raises(InvalidInput):
