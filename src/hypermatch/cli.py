@@ -12,7 +12,8 @@ Every record carries the run configuration, the metric counters, a logical
 memory figure, and (with --certify) certificate fields.  Output is CSV
 (default, fixed column order, rows streamed as they complete) or a JSON
 array.  Exit codes: 0 success, 2 bad input (including a grid with any
-failed cell), 3 oracle refusal.
+failed cell), 3 oracle refusal, 141 output closed by its reader (a broken
+pipe, as in ``hypermatch grid ... | head``; nothing is printed).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Optional, TextIO, Union
 
@@ -58,6 +60,9 @@ KNOB_DEFAULTS = {"epsilon": 0.0, "alpha": "auto"}
 # on stderr and the exit code it returns.  A grid cell records the failure.
 INPUT_FAILURES = {TooLarge: ("too_large", 3), ParseError: ("parse_error", 2),
                   InvalidInput: ("invalid_input", 2), OSError: ("invalid_input", 2)}
+# The exit code when the reader of the output closes it early: 128 + SIGPIPE,
+# what a shell reports for a program that a broken pipe kills.
+BROKEN_PIPE_EXIT = 141
 
 Source = Union[str, tuple[int, int, int, int]]
 
@@ -86,33 +91,57 @@ class RunSpec:
         return str(self.source)
 
     def __post_init__(self) -> None:
-        source = self.source
-        # exactly int: bool is an int subclass, and as a count it is a caller's error
-        generated = (isinstance(source, tuple) and len(source) == 4
-                     and all(type(count) is int for count in source))
-        if not (isinstance(source, str) or generated):
-            raise InvalidInput(
-                f"source must be a file path or (n, m, d_max, w_max), got {source!r}")
-        for name, value, kind in (("weights", self.weights, WeightScheme),
-                                  ("order", self.order, StreamOrder),
-                                  ("seed", self.seed, int), ("repeat", self.repeat, int),
-                                  ("certify", self.certify, bool),
-                                  ("emit_matching", self.emit_matching, bool)):
-            if not (type(value) is int if kind is int else isinstance(value, kind)):
-                raise InvalidInput(f"{name} must be of type {kind.__name__}, got {value!r}")
-        if self.algorithm not in KNOBS:
-            raise InvalidInput(f"unknown algorithm {self.algorithm!r}")
-        for knob, default in KNOB_DEFAULTS.items():
-            if KNOBS[self.algorithm] == knob:
-                if getattr(self, knob) is None:
-                    object.__setattr__(self, knob, default)
-            elif getattr(self, knob) is not None:
-                raise InvalidInput(f"{knob} does not apply to {self.algorithm}")
-        # bool is an int subclass; as a knob value it is a caller's error
-        if self.epsilon is not None and not _is_number(self.epsilon):
-            raise InvalidInput(f"epsilon must be a number, got {self.epsilon!r}")
-        if self.alpha not in (None, "auto") and not _is_number(self.alpha):
-            raise InvalidInput(f"alpha must be a number or 'auto', got {self.alpha!r}")
+        _check_source(self.source)
+        for name, kind in FIELD_TYPES.items():
+            _check_type(name, getattr(self, name), kind)
+        for knob, value in _knobs(self.algorithm, self.epsilon, self.alpha).items():
+            object.__setattr__(self, knob, value)
+
+    @classmethod
+    def _of_checked(cls, **values) -> "RunSpec":
+        """A spec of every field, from values already checked, unchecked."""
+        spec = cls.__new__(cls)
+        vars(spec).update(values)
+        return spec
+
+
+# The type each plain field of a RunSpec must have; int means exactly int.
+FIELD_TYPES = {"weights": WeightScheme, "order": StreamOrder, "seed": int, "repeat": int,
+               "certify": bool, "emit_matching": bool}
+
+
+def _check_source(source) -> None:
+    # exactly int: bool is an int subclass, and as a count it is a caller's error
+    generated = (isinstance(source, tuple) and len(source) == 4
+                 and all(type(count) is int for count in source))
+    if not (isinstance(source, str) or generated):
+        raise InvalidInput(
+            f"source must be a file path or (n, m, d_max, w_max), got {source!r}")
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
+        raise InvalidInput(f"{name} must be of type {kind.__name__}, got {value!r}")
+
+
+def _knobs(algorithm: str, epsilon=None, alpha=None) -> dict:
+    """The knob values a cell of ``algorithm`` runs with: its own knob, set
+    to its default when None, and None for a knob it lacks."""
+    if algorithm not in KNOBS:
+        raise InvalidInput(f"unknown algorithm {algorithm!r}")
+    knobs = {"epsilon": epsilon, "alpha": alpha}
+    for knob, default in KNOB_DEFAULTS.items():
+        if KNOBS[algorithm] == knob:
+            if knobs[knob] is None:
+                knobs[knob] = default
+        elif knobs[knob] is not None:
+            raise InvalidInput(f"{knob} does not apply to {algorithm}")
+    # bool is an int subclass; as a knob value it is a caller's error
+    if knobs["epsilon"] is not None and not _is_number(knobs["epsilon"]):
+        raise InvalidInput(f"epsilon must be a number, got {knobs['epsilon']!r}")
+    if knobs["alpha"] not in (None, "auto") and not _is_number(knobs["alpha"]):
+        raise InvalidInput(f"alpha must be a number or 'auto', got {knobs['alpha']!r}")
+    return knobs
 
 
 def _is_number(value) -> bool:
@@ -155,14 +184,12 @@ class ResultRecord:
     @classmethod
     def for_spec(cls, spec: RunSpec, hg: Optional[Hypergraph] = None, **values) -> "ResultRecord":
         """A record labelled with the spec's configuration and, given ``hg``,
-        the instance's shape; ``values`` win."""
-        labels = dict(instance=spec.instance_label(), algorithm=spec.algorithm,
-                      weights=spec.weights.value, order=spec.order.value,
-                      seed=spec.seed, repeat=spec.repeat, epsilon=spec.epsilon,
-                      alpha=None if spec.alpha is None else str(spec.alpha))
+        the instance's shape, holding ``values`` in the other fields."""
         if hg is not None:
-            labels.update(n=hg.n, m=hg.m, d=hg.d, total_pins=hg.total_pins)
-        return cls(**{**labels, **values})
+            values.update(n=hg.n, m=hg.m, d=hg.d, total_pins=hg.total_pins)
+        return cls(spec.instance_label(), spec.algorithm, spec.weights.value,
+                   spec.order.value, spec.seed, spec.repeat, spec.epsilon,
+                   None if spec.alpha is None else str(spec.alpha), **values)
 
     def as_dict(self) -> dict:
         """The record's JSON object.  JSON has no NaN or infinity, so a
@@ -170,23 +197,19 @@ class ResultRecord:
         return {name: _json_value(getattr(self, name)) for name in CSV_COLUMNS}
 
     def as_row(self) -> list[str]:
-        return [_cell(getattr(self, name)) for name in CSV_COLUMNS]
+        # a bool is True or False itself, so identity tests it without isinstance
+        return ["" if value is None else "true" if value is True
+                else "false" if value is False else str(value)
+                for value in _column_values(self)]
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+_column_values = attrgetter(*CSV_COLUMNS)
 
 
 def _json_value(value):
     if isinstance(value, float) and not math.isfinite(value):
-        return _cell(value)
+        return str(value)
     return value
 
 
@@ -273,7 +296,7 @@ def _run_cell(spec: RunSpec, instance: _LoadedInstance) -> ResultRecord:
             record.dual_feasible = dual_feasible(hg, dual)
         record.oracle_weight = instance.oracle_weight
     if spec.emit_matching:
-        record.matching_edges = " ".join(str(eid) for eid in sorted(matching.edge_ids))
+        record.matching_edges = " ".join(map(str, sorted(matching.edge_ids)))
     return record
 
 
@@ -327,27 +350,34 @@ def expand_grid(
     emit_matching: bool,
 ) -> Iterator[RunSpec]:
     """Cartesian product of the axes, skipping knobs an algorithm lacks;
-    a knob value of None runs the cell with that knob's default."""
-    axes = {"epsilon": epsilons, "alpha": alphas}
+    a knob value of None runs the cell with that knob's default.
+
+    Every axis value is checked once, before the first cell, with the
+    message ``RunSpec`` gives it; the cells are then built from those
+    checked values without checking each one again.
+    """
     for source in sources:
-        for algorithm in algorithms:
-            knob = KNOBS.get(algorithm)
-            settings = [{knob: value} for value in axes[knob]] if knob else [{}]
-            for setting in settings:
-                for order in orders:
-                    for seed in seeds:
-                        for repeat in range(repeats):
-                            yield RunSpec(
-                                source=source,
-                                weights=weights,
-                                algorithm=algorithm,
-                                order=order,
-                                seed=seed,
-                                certify=certify,
-                                emit_matching=emit_matching,
-                                repeat=repeat,
-                                **setting,
-                            )
+        _check_source(source)
+    for name, values in (("weights", [weights]), ("order", orders), ("seed", seeds),
+                         ("certify", [certify]), ("emit_matching", [emit_matching])):
+        for value in values:
+            _check_type(name, value, FIELD_TYPES[name])
+    axes = {"epsilon": epsilons, "alpha": alphas}
+    settings = []
+    for algorithm in algorithms:
+        knob = KNOBS.get(algorithm)
+        for setting in [{knob: value} for value in axes[knob]] if knob else [{}]:
+            settings.append((algorithm, _knobs(algorithm, **setting)))
+    for source in sources:
+        for algorithm, knobs in settings:
+            for order in orders:
+                for seed in seeds:
+                    for repeat in range(repeats):
+                        yield RunSpec._of_checked(
+                            source=source, weights=weights, algorithm=algorithm,
+                            order=order, seed=seed, certify=certify,
+                            emit_matching=emit_matching, repeat=repeat, **knobs,
+                        )
 
 
 def oracle_record(
@@ -356,15 +386,16 @@ def oracle_record(
     """Solve an instance exactly and wrap the result in the record schema."""
     hg = load_instance(spec)
     matching = exact_max_weight_matching(hg, limits)
-    return ResultRecord.for_spec(
+    record = ResultRecord.for_spec(
         spec,
         hg,
-        algorithm="oracle",
         matching_weight=matching.weight,
         cardinality=matching.cardinality,
         oracle_weight=matching.weight,
-        matching_edges=" ".join(str(eid) for eid in sorted(matching.edge_ids)),
+        matching_edges=" ".join(map(str, sorted(matching.edge_ids))),
     )
+    record.algorithm = "oracle"
+    return record
 
 
 def emit(records: Iterable[ResultRecord], fmt: str, out: TextIO) -> int:
@@ -525,9 +556,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         records = _records(args)
         if args.output is None:
             failed = emit(records, args.format, sys.stdout)
+            sys.stdout.flush()  # so a closed pipe fails here, not at exit
         else:
             with open(args.output, "w", newline="") as out:
                 failed = emit(records, args.format, out)
+    except BrokenPipeError:
+        # an OSError, but not bad input: the reader stopped reading.  Point
+        # stdout at devnull so that the flush at shutdown cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE_EXIT
     except tuple(INPUT_FAILURES) as exc:
         kind, code = next(INPUT_FAILURES[c] for c in type(exc).__mro__ if c in INPUT_FAILURES)
         _print_error(kind, exc)

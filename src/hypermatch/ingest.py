@@ -339,11 +339,14 @@ def gen_random_hypergraph(n: int, m: int, d_max: int, w_max: int, seed: int) -> 
 
     Each edge has size uniform in [1, d_max] with vertices sampled without
     replacement, and an integer weight uniform in [1, w_max] stored as a
-    float, so ``w_max`` is at most the largest float.  The same arguments
-    always produce the same instance.
+    float, so ``w_max`` is at most the largest float.  Vertices are drawn
+    from ``range(n)``, so ``n`` is at most ``sys.maxsize``.  The same
+    arguments always produce the same instance.
     """
     if n < 1:
         raise InvalidInput(f"need at least one vertex, got n={n}")
+    if n > sys.maxsize:  # random.sample could not draw from a range that long
+        raise InvalidInput(f"n must be at most {sys.maxsize}, got {n}")
     if not 1 <= d_max <= n:
         raise InvalidInput(f"d_max must be in 1..{n}, got {d_max}")
     if m < 0:

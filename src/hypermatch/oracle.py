@@ -6,12 +6,16 @@ the include-branch explored first, so a strong incumbent appears early.
 The search branches only on edges still compatible with the partial
 matching: including an edge drops every later edge that shares a vertex
 with it.  The bound on a subtree is the exact total weight of the edges
-still compatible there, and a subtree is pruned when the weight collected
-so far plus that bound cannot beat the incumbent.  Among equal-weight
-optima the solver returns the one whose sorted edge-id tuple is
-lexicographically smallest, which keeps results reproducible.  Sums are
-compared exactly, on weights scaled to integers, so float rounding in the
-summation order cannot split a tie.
+still compatible there.  Two rules prune, each tested on a child before
+the search enters it: a child is skipped when the weight collected so far
+plus its bound cannot reach the incumbent, and the exclude child is
+skipped when the branching edge conflicts with no edge still compatible,
+since with positive weights every completion without that edge is lighter
+than the same completion with it.  Among equal-weight optima the solver
+returns the one whose sorted edge-id tuple is lexicographically smallest,
+which keeps results reproducible.  Sums are compared exactly, on weights
+scaled to integers, so float rounding in the summation order cannot split
+a tie.
 
 A separate brute-force enumerator walks all 2^m edge subsets in id order,
 with the same tie-break and no bound.  It exists to check the
@@ -28,7 +32,6 @@ import sys
 from dataclasses import dataclass
 
 from .core import Hypergraph, InvalidInput, Matching
-from .ingest import StreamOrder, order_stream
 
 
 class TooLarge(RuntimeError):
@@ -40,10 +43,12 @@ class OracleLimits:
     """Hard caps for the exact solvers.
 
     ``max_edges`` bounds the search space up front; ``max_nodes_expanded``
-    is a safety valve on the number of search-tree nodes actually visited
-    (the root plus one per include or exclude decision on an edge still
-    compatible with the partial matching), for adversarial instances
-    (e.g. all weights equal) where pruning is powerless.  Raises
+    is a safety valve on the number of search-tree nodes actually visited,
+    for adversarial instances (e.g. all weights equal) where pruning is
+    powerless.  A node is the root, plus each include or exclude child that
+    both pruning rules let through: its bound can still reach the
+    incumbent, and, for an exclude child, the edge left out conflicts with
+    an edge still compatible.  So m disjoint edges take m + 1 nodes.  Raises
     InvalidInput for a cap that is not exactly an ``int`` (not a ``bool``),
     a negative ``max_edges`` or a ``max_nodes_expanded`` below 1.
     """
@@ -76,16 +81,22 @@ def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None
     if hg.m > limits.max_edges:
         raise TooLarge(f"{hg.m} edges exceeds the oracle cap of {limits.max_edges}")
 
-    order = order_stream(hg, StreamOrder.DESCENDING)
-    vertex_masks = [_vertex_mask(hg, eid) for eid in order]
     exact = _exact_weights(hg)
+    order = sorted(range(hg.m), key=hg.weights.__getitem__, reverse=True)
     weights = [exact[eid] for eid in order]
-    # later[i] = the positions j > i whose edges share a vertex with edge i
-    later = [0] * len(order)
-    for i, mask in enumerate(vertex_masks):
-        for j in range(i + 1, len(order)):
-            if mask & vertex_masks[j]:
-                later[i] |= 1 << j
+    # incident[v] = the positions of the edges on vertex v
+    incident: dict[int, int] = {}
+    for i, eid in enumerate(order):
+        for v in hg.vertices[eid]:
+            incident[v] = incident.get(v, 0) | 1 << i
+    # conflicts[i] = the positions whose edges share a vertex with edge i;
+    # the search masks it with positions after i, so i and earlier ones stay
+    conflicts = []
+    for eid in order:
+        mask = 0
+        for v in hg.vertices[eid]:
+            mask |= incident[v]
+        conflicts.append(mask)
 
     best_weight = 0
     best_ids: tuple[int, ...] = ()
@@ -94,18 +105,16 @@ def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None
 
     def visit(avail: int, current: int, bound: int) -> None:
         # avail: positions still compatible with the chosen edges;
-        # bound: their total weight, the most any completion can add
+        # bound: their total weight, the most any completion can add.
+        # The caller has checked that current + bound can reach best_weight.
         nonlocal best_weight, best_ids, expanded
         expanded += 1
         if expanded > limits.max_nodes_expanded:
             raise TooLarge(
                 f"search exceeded {limits.max_nodes_expanded} node expansions"
             )
-        # Equal bound stays alive: a tie may still win on the id tie-break.
-        if current + bound < best_weight:
-            return
         if not avail:
-            # bound is 0 at a leaf, so the check above left current >= best_weight
+            # bound is 0 at a leaf, so the caller's check left current >= best_weight
             ids = tuple(sorted(chosen))
             if current > best_weight or ids < best_ids:
                 best_weight = current
@@ -114,17 +123,22 @@ def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None
         low = avail & -avail
         i = low.bit_length() - 1
         rest = avail ^ low
-        dropped = rest & later[i]
-        # what including edge i takes out of the bound: it and its conflicts
-        lost = weights[i]
+        clash = dropped = rest & conflicts[i]  # rest holds only positions after i
+        # what including edge i takes out of the bound: its conflicts
+        lost = 0
         while dropped:
             bit = dropped & -dropped
             lost += weights[bit.bit_length() - 1]
             dropped ^= bit
-        chosen.append(order[i])
-        visit(rest & ~later[i], current + weights[i], bound - lost)
-        chosen.pop()
-        visit(rest, current, bound - weights[i])
+        # Equal bound stays alive: a tie may still win on the id tie-break.
+        if current + bound - lost >= best_weight:
+            chosen.append(order[i])
+            visit(rest ^ clash, current + weights[i], bound - weights[i] - lost)
+            chosen.pop()
+        # Excluding an edge that conflicts with nothing left only loses its
+        # weight: every completion is lighter than the same one with it.
+        if clash and current + bound - weights[i] >= best_weight:
+            visit(rest, current, bound - weights[i])
 
     try:
         visit((1 << len(order)) - 1, 0, sum(weights))

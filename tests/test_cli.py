@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -296,6 +299,44 @@ def test_grid_propagates_programming_errors(monkeypatch) -> None:
         list(cli.grid(specs))
 
 
+def test_expand_grid_builds_the_specs_that_run_spec_builds() -> None:
+    sources = ["x.hgr", (5, 6, 2, 10)]
+    algorithms = ["stack", "swapset", "naive"]
+    epsilons, alphas = [None, 0.5], ["auto", 2]
+    orders = [StreamOrder.ORIGINAL, StreamOrder.RANDOM]
+    seeds, repeats = [0, 7, 3], 2
+    axes = dict(sources=sources, algorithms=algorithms, epsilons=epsilons, alphas=alphas,
+                orders=orders, seeds=seeds, repeats=repeats, weights=WeightScheme.UNIT,
+                certify=True, emit_matching=False)
+    settings = {"stack": [{"epsilon": e} for e in epsilons],
+                "swapset": [{"alpha": a} for a in alphas], "naive": [{}]}
+    expected = []
+    for source in sources:
+        for algorithm in algorithms:
+            for setting in settings[algorithm]:
+                for order in orders:
+                    for seed in seeds:
+                        for repeat in range(repeats):
+                            expected.append(cli.RunSpec(
+                                source, WeightScheme.UNIT, algorithm, order=order,
+                                seed=seed, certify=True, repeat=repeat, **setting))
+    got = list(cli.expand_grid(**axes))
+    assert len(got) == 2 * (2 + 2 + 1) * 2 * 3 * 2
+    assert got == expected
+    assert [vars(spec) for spec in got] == [vars(spec) for spec in expected]
+
+    # a value that RunSpec refuses is refused with RunSpec's message
+    for axis, bad, field in (("seeds", [0, 1.0], {"seed": 1.0}),
+                             ("orders", [StreamOrder.ORIGINAL, "random"], {"order": "random"}),
+                             ("sources", ["x.hgr", (5, 6, 2)], {"source": (5, 6, 2)}),
+                             ("epsilons", [0.5, "1"], {"algorithm": "stack", "epsilon": "1"})):
+        with pytest.raises(InvalidInput) as direct:
+            cli.RunSpec(**{"source": "x.hgr", **field})
+        with pytest.raises(InvalidInput) as expanded:
+            list(cli.expand_grid(**{**axes, axis: bad}))
+        assert str(expanded.value) == str(direct.value)
+
+
 def test_grid_loads_and_solves_each_instance_once(tmp_path, monkeypatch) -> None:
     path = tmp_path / "small.hgr"
     path.write_text(serialize_hmetis(gen_random_hypergraph(9, 12, 3, 100, seed=5)))
@@ -458,6 +499,42 @@ def test_overflowing_w_max_exits_2(capsys) -> None:
     failed, solved = csv_rows(out)
     assert failed["error"].startswith("InvalidInput: w_max")
     assert solved["error"] == "" and float(solved["matching_weight"]) > 0
+
+
+def test_oversized_n_exits_2(capsys) -> None:
+    gen = "100000000000000000000,5,2,10"  # past sys.maxsize
+    code, out, err = run_cli(["run", "--gen", gen, "--algorithm", "naive"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "invalid_input"
+    code, out, _ = run_cli(
+        ["grid", "--gen", gen, "--gen", "5,5,2,10", "--algorithm", "naive"], capsys)
+    assert code == 2
+    failed, solved = csv_rows(out)
+    assert failed["error"].startswith("InvalidInput: n must be at most")
+    assert solved["error"] == "" and float(solved["matching_weight"]) > 0
+
+
+def test_a_closed_stdout_exits_with_its_own_code() -> None:
+    # The long grid's rows far outgrow a pipe's buffer, so it is still
+    # writing when its reader closes the pipe after one byte.  The one-row
+    # grid's reader closes before the interpreter has even started, so only
+    # its final flush meets the closed pipe.
+    many = ["--gen", "400,400,2,10", "--algorithm", "naive", "--repeats", "300",
+            "--emit-matching"]
+    one = ["--gen", "5,5,2,10", "--algorithm", "naive"]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for flags, fmt, read in ((many, "csv", 1), (many, "json", 1), (one, "json", 0)):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hypermatch.cli", "grid", *flags, "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.BROKEN_PIPE_EXIT == 141
+        assert err == b""  # no invalid_input error, no traceback at shutdown
 
 
 def _strict_json(text: str):

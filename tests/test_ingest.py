@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -426,7 +427,10 @@ def test_gen_respects_bounds() -> None:
 @pytest.mark.parametrize(
     "n,m,d_max,w_max",
     [(0, 1, 1, 1), (3, 1, 0, 1), (3, 1, 4, 1), (3, -1, 2, 1), (3, 1, 2, 0),
-     pytest.param(3, 1, 2, 10 ** 400, id="3-1-2-w_max_past_the_largest_float")],
+     pytest.param(3, 1, 2, 10 ** 400, id="3-1-2-w_max_past_the_largest_float"),
+     # random.sample cannot draw from a longer range; refused with no edge to draw too
+     pytest.param(sys.maxsize + 1, 5, 2, 10, id="n_past_sys_maxsize"),
+     pytest.param(sys.maxsize + 1, 0, 2, 10, id="n_past_sys_maxsize_no_edges")],
 )
 def test_gen_rejects_bad_parameters(n, m, d_max, w_max) -> None:
     with pytest.raises(InvalidInput):

@@ -83,9 +83,11 @@ def test_exact_matches_exhaustive_enumeration_on_ties() -> None:
 
 def test_exact_search_fits_a_tight_node_cap() -> None:
     # Branching only on edges still compatible with the partial matching,
-    # bounded by their total weight, solves these shapes in at most 147
-    # nodes; branching on every edge under a suffix-sum bound needs 362-885.
-    limits = OracleLimits(max_nodes_expanded=300)
+    # bounded by their total weight and with each child's bound tested
+    # before it is entered, solves these shapes in at most 74 nodes.
+    # Testing the bound on entry, so that every pruned child and every
+    # exclude child of an edge with no conflict left counts, needs up to 147.
+    limits = OracleLimits(max_nodes_expanded=100)
     for seed in (1000, 1001, 1002):
         for shape in ((14, 20, 4, 100), (16, 24, 4, 100)):
             hg = gen_random_hypergraph(*shape, seed)
@@ -95,6 +97,29 @@ def test_exact_search_fits_a_tight_node_cap() -> None:
                 brute = exhaustive_max_weight_matching(hg)
                 assert capped.weight == brute.weight
                 assert capped.edge_ids == brute.edge_ids
+
+
+def test_exact_solves_disjoint_edges_in_one_node_per_edge() -> None:
+    # each edge conflicts with nothing, so only its include child is
+    # entered: the root plus one node per edge
+    hg = Hypergraph(20, [(2 * i, 2 * i + 1) for i in range(10)], [1.0] * 10)
+    with pytest.raises(TooLarge):
+        exact_max_weight_matching(hg, OracleLimits(max_nodes_expanded=10))
+    matching = exact_max_weight_matching(hg, OracleLimits(max_nodes_expanded=11))
+    assert matching.edge_ids == frozenset(range(10))
+
+
+def test_exact_never_leaves_out_an_edge_with_no_conflict_left() -> None:
+    # Two isolated edges, then a star of four pairwise conflicting edges.
+    # Leaving an isolated edge out keeps a bound of 46 or 36 against an
+    # incumbent of 29, so only the rule that skips the exclude child of an
+    # edge with no conflict left holds the search to its 10 nodes (16 without).
+    hg = Hypergraph(9, [(5, 6), (7, 8), (0, 1), (0, 2), (0, 3), (0, 4)],
+                    [10.0, 10.0, 9.0, 9.0, 9.0, 9.0])
+    with pytest.raises(TooLarge):
+        exact_max_weight_matching(hg, OracleLimits(max_nodes_expanded=9))
+    matching = exact_max_weight_matching(hg, OracleLimits(max_nodes_expanded=10))
+    assert matching.edge_ids == frozenset({0, 1, 2})
 
 
 def test_exact_refuses_too_many_edges() -> None:
