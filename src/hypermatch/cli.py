@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Optional, TextIO, Union
@@ -401,15 +401,20 @@ def oracle_record(
 def emit(records: Iterable[ResultRecord], fmt: str, out: TextIO) -> int:
     """Write records as CSV (streamed row by row) or a JSON array.
 
+    CSV rows are flushed one by one into a pipe or a terminal, so a reader
+    sees each as it is computed; a file (any seekable ``out``) gains
+    nothing from that and is written in its own buffer's time.
     Returns the number of records whose ``error`` field is set.
     """
     errors = 0
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
+        streamed = not out.seekable()
         for record in records:
             writer.writerow(record.as_row())
-            out.flush()
+            if streamed:
+                out.flush()
             errors += record.error is not None
     else:
         rows = [r.as_dict() for r in records]
@@ -480,7 +485,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and every flag list starts at ``None``, not a shared list."""
     parser = _Parser(
         prog="hypermatch",
         description="Streaming hypergraph matching benchmarks with certificates.",

@@ -20,9 +20,11 @@ an error's line number comes from a second read, made only on failure.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
+import operator
 import random
 import sys
 from typing import Iterator, Optional
@@ -337,15 +339,27 @@ def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> Stream:
 def gen_random_hypergraph(n: int, m: int, d_max: int, w_max: int, seed: int) -> Hypergraph:
     """Deterministic random instance: m edges over n vertices.
 
-    Each edge has size uniform in [1, d_max] with vertices sampled without
-    replacement, and an integer weight uniform in [1, w_max] stored as a
-    float, so ``w_max`` is at most the largest float.  Vertices are drawn
-    from ``range(n)``, so ``n`` is at most ``sys.maxsize``.  The same
-    arguments always produce the same instance.
+    Each edge draws, in this order, its size uniform in ``1..d_max``, that
+    many distinct vertices of ``range(n)`` (sorted), and an integer weight
+    uniform in ``1..w_max`` stored as a float, so ``w_max`` is at most the
+    largest float.  A draw below ``k`` takes ``k.bit_length()`` bits from
+    ``random.Random(seed).getrandbits`` and draws again until the value is
+    below ``k``.  The vertices are drawn one of two ways, by ``n`` and the
+    size.  When ``n`` is at most 21, plus ``4 ** ceil(log(3 * size, 4))``
+    for a size above 5, each is drawn below the length of a pool list of
+    ``range(n)``, whose last entry then fills the picked entry's place.
+    Otherwise each is drawn below ``n`` until it is not one picked already.
+
+    The loop is this module's own, so the instance does not depend on
+    ``random.randint``'s or ``random.sample``'s internals, which a later
+    Python may change; it draws exactly the bits that ``randint`` and
+    ``sample(range(n), size)`` draw on CPython 3.10-3.13 and gives the same
+    values.  ``n`` is at most ``sys.maxsize``, the longest range ``sample``
+    draws from.  The same arguments always produce the same instance.
     """
     if n < 1:
         raise InvalidInput(f"need at least one vertex, got n={n}")
-    if n > sys.maxsize:  # random.sample could not draw from a range that long
+    if n > sys.maxsize:  # past the longest range random.sample draws from
         raise InvalidInput(f"n must be at most {sys.maxsize}, got {n}")
     if not 1 <= d_max <= n:
         raise InvalidInput(f"d_max must be in 1..{n}, got {d_max}")
@@ -355,11 +369,45 @@ def gen_random_hypergraph(n: int, m: int, d_max: int, w_max: int, seed: int) -> 
         raise InvalidInput(f"w_max must be at least 1, got {w_max}")
     if w_max > sys.float_info.max:  # its draws could not be stored as floats
         raise InvalidInput(f"w_max must be at most the largest float, {sys.float_info.max}")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    # as randint and sample take them: any integer type, through __index__
+    d_bits, n_bits, w_bits = (operator.index(k).bit_length() for k in (d_max, n, w_max))
+    # the least size drawn from a pool, found by bisection: the pool limit
+    # grows with the size
+    pooled = 1 if n <= 21 else 6 + bisect.bisect_left(
+        range(6, d_max + 1), True,
+        key=lambda size: n <= 21 + 4 ** math.ceil(math.log(size * 3, 4)),
+    )
+    vertex_ids = None  # range(n) as a list, which each pool copies; built at need
     vertices = []
     weights = []
     for _ in range(m):
-        size = rng.randint(1, d_max)
-        vertices.append(tuple(sorted(rng.sample(range(n), size))))
-        weights.append(float(rng.randint(1, w_max)))
+        size = getrandbits(d_bits)
+        while size >= d_max:
+            size = getrandbits(d_bits)
+        size += 1
+        if size >= pooled:
+            if vertex_ids is None:
+                vertex_ids = list(range(n))
+            pool = vertex_ids[:]
+            picks = []
+            for left in range(n, n - size, -1):
+                bits = left.bit_length()
+                j = getrandbits(bits)
+                while j >= left:
+                    j = getrandbits(bits)
+                picks.append(pool[j])
+                pool[j] = pool[left - 1]
+        else:
+            # a draw past n and a vertex picked already are both drawn again
+            picks = set()
+            while len(picks) < size:
+                j = getrandbits(n_bits)
+                if j < n:
+                    picks.add(j)
+        vertices.append(tuple(sorted(picks)))
+        weight = getrandbits(w_bits)
+        while weight >= w_max:
+            weight = getrandbits(w_bits)
+        weights.append(float(1 + weight))
     return Hypergraph(n, vertices, weights)

@@ -7,11 +7,19 @@ step a stream by hand and check the kernels against the fold.
 ``covers`` checks a dual on every edge's full potential sum, where
 ``dual_feasible`` stops at the first pin that covers the weight.
 ``token_lines`` and ``data_lines`` read instance text whole, where the
-parser reads it a chunk at a time.
+parser reads it a chunk at a time.  ``random_edges`` draws an instance's
+edges through ``random.Random``'s ``randint`` and ``sample``, where the
+generator restates their draws in one loop over ``getrandbits``.
+
+Run as a script, it checks the generator against ``random_edges`` on
+``GEN_SHAPES`` under whichever Python runs it, with no test runner:
+``PYTHONPATH=src python tests/reference.py``.
 """
 
 from __future__ import annotations
 
+import random
+import sys
 from typing import Iterator, Optional
 
 from hypermatch.core import Hypergraph
@@ -116,3 +124,53 @@ def data_lines(source: str | bytes) -> Iterator[tuple[int, list[str]]]:
         for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1)
         if tokens and tokens[0][0] != "%"
     )
+
+
+def random_edges(n: int, m: int, d_max: int, w_max: int, seed: int):
+    """(vertices, weights) of the ``m`` edges that ``gen_random_hypergraph``
+    draws, the plain way: per edge a size by ``randint(1, d_max)``, its
+    vertices by ``sample(range(n), size)``, sorted, and a weight by
+    ``randint(1, w_max)``, stored as a float."""
+    rng = random.Random(seed)
+    vertices = []
+    weights = []
+    for _ in range(m):
+        size = rng.randint(1, d_max)
+        vertices.append(tuple(sorted(rng.sample(range(n), size))))
+        weights.append(float(rng.randint(1, w_max)))
+    return vertices, weights
+
+
+def _gen_shapes() -> list[tuple[int, int, int, int, int]]:
+    """(n, m, d_max, w_max, seed) shapes that reach both of ``sample``'s
+    ways, sizes above 5, ``d_max = n``, ``n = 1``, ``m = 0`` and weights of
+    more than one 32-bit word, then a seeded sweep of small shapes."""
+    shapes = [
+        (1, 5, 1, 1, 0), (1, 0, 1, 1, 0), (5, 0, 2, 10, 3),
+        (14, 20, 4, 100, 1), (16, 24, 4, 100, 2), (21, 30, 21, 10, 3),
+        (22, 40, 5, 10, 4), (85, 60, 8, 100, 5), (86, 60, 21, 100, 6),
+        (277, 40, 30, 100, 7), (278, 40, 30, 100, 8), (300, 20, 100, 7, 9),
+        (6, 20, 6, 3, 10), (40, 10, 40, 5, 11), (1000, 30, 1000, 5, 12),
+        (50, 30, 4, 2 ** 32, 13), (50, 30, 4, 2 ** 32 + 1, 14),
+        (20000, 30, 8, 10 ** 30, 15), (10 ** 6, 50, 5, 100, 16),
+        (sys.maxsize, 20, 3, 10, 17), (sys.maxsize, 0, sys.maxsize, 10, 18),
+    ]
+    meta = random.Random(2024)
+    for _ in range(200):
+        n = meta.choice((meta.randint(1, 30), meta.randint(1, 300)))
+        d_max = meta.randint(1, n)
+        w_max = meta.choice((1, 2, 100, 2 ** 32, 2 ** 32 + 1, 10 ** 30, meta.randint(1, 2 ** 70)))
+        shapes.append((n, meta.randint(0, 12), d_max, w_max, meta.randrange(1 << 30)))
+    return shapes
+
+
+GEN_SHAPES = _gen_shapes()
+
+
+if __name__ == "__main__":
+    from hypermatch import gen_random_hypergraph
+
+    for shape in GEN_SHAPES:
+        hg = gen_random_hypergraph(*shape)
+        assert (list(hg.vertices), list(hg.weights)) == random_edges(*shape), shape
+    print(f"{len(GEN_SHAPES)} shapes drawn alike on Python {sys.version.split()[0]}")

@@ -537,6 +537,46 @@ def test_a_closed_stdout_exits_with_its_own_code() -> None:
         assert err == b""  # no invalid_input error, no traceback at shutdown
 
 
+class _Writer(io.StringIO):
+    """A text buffer that counts its flushes and says whether it seeks."""
+
+    def __init__(self, seekable: bool) -> None:
+        super().__init__()
+        self._seekable = seekable
+        self.flushes = 0
+
+    def seekable(self) -> bool:
+        return self._seekable
+
+    def flush(self) -> None:
+        self.flushes += 1
+        super().flush()
+
+
+def test_emit_flushes_each_row_into_a_stream_only() -> None:
+    specs = cli.expand_grid(sources=[(9, 12, 3, 100)], algorithms=list(cli.ALGORITHMS),
+                            epsilons=[None], alphas=[None], orders=list(StreamOrder),
+                            seeds=[0, 1], repeats=1, weights=WeightScheme.FROM_FILE,
+                            certify=True, emit_matching=True)
+    records = list(cli.grid(specs))
+    stream, file = _Writer(seekable=False), _Writer(seekable=True)
+    assert cli.emit(records, "csv", stream) == cli.emit(records, "csv", file) == 0
+    assert stream.flushes == len(records) == 5 * 4 * 2
+    assert file.flushes == 0
+    assert file.getvalue() == stream.getvalue()
+    assert len(csv_rows(file.getvalue())) == len(records)
+
+
+def test_main_calls_share_no_flag_lists(tmp_path) -> None:
+    assert cli.build_parser() is cli.build_parser()
+    seeded, default = tmp_path / "seeded.csv", tmp_path / "default.csv"
+    grid = ["grid", "--gen", "9,12,3,100", "--algorithm", "naive", "--order", "random"]
+    assert main([*grid, "--seed", "3", "--seed", "4", "--output", str(seeded)]) == 0
+    assert main([*grid, "--output", str(default)]) == 0
+    assert [row["seed"] for row in csv_rows(seeded.read_text())] == ["3", "4"]
+    assert [row["seed"] for row in csv_rows(default.read_text())] == ["0"]
+
+
 def _strict_json(text: str):
     def refuse(constant: str):
         raise ValueError(f"not RFC 8259 JSON: {constant}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -20,7 +21,7 @@ from hypermatch.ingest import (
 )
 
 from conftest import random_instances
-from reference import data_lines, token_lines
+from reference import GEN_SHAPES, data_lines, random_edges, token_lines
 
 
 def test_parse_unweighted() -> None:
@@ -422,6 +423,41 @@ def test_gen_respects_bounds() -> None:
             assert 1 <= len(verts) <= d_max
             assert w == int(w)
             assert 1 <= w <= w_max
+
+
+def test_gen_draws_what_randint_and_sample_draw() -> None:
+    for shape in GEN_SHAPES:
+        hg = gen_random_hypergraph(*shape)
+        assert (list(hg.vertices), list(hg.weights)) == random_edges(*shape), shape
+
+
+def test_gen_calls_no_randint_or_sample(monkeypatch) -> None:
+    shapes = [(14, 20, 4, 100, 1), (86, 60, 21, 100, 6), (20000, 50, 8, 2 ** 40, 1)]
+    expected = [random_edges(*shape) for shape in shapes]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew through random.Random's own sampling")
+
+    for name in ("sample", "randint", "randrange"):
+        monkeypatch.setattr(random.Random, name, refuse)
+    for shape, edges in zip(shapes, expected):
+        hg = gen_random_hypergraph(*shape)
+        assert (list(hg.vertices), list(hg.weights)) == edges
+
+
+def test_gen_takes_any_integer_type() -> None:
+    np = pytest.importorskip("numpy")
+    hg = gen_random_hypergraph(30, 40, np.int64(5), np.int64(2 ** 40), 1)
+    assert (list(hg.vertices), list(hg.weights)) == random_edges(30, 40, 5, 2 ** 40, 1)
+    with pytest.raises(InvalidInput):  # a Hypergraph's vertex count is a plain int
+        gen_random_hypergraph(np.int64(30), 40, 5, 100, 1)
+
+
+def test_gen_instance_at_scale_is_pinned() -> None:
+    # vertices drawn below n, never from a pool, and weights of two 32-bit words
+    text = serialize_hmetis(gen_random_hypergraph(20000, 20000, 8, 2 ** 40, 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "292cc5cc4147ec3f89e3fb90f9dbd515528508086902df354dd7f70e2fc3cafb")
 
 
 @pytest.mark.parametrize(
