@@ -264,6 +264,18 @@ def test_pins_of_one_vertex_share_one_int() -> None:
         assert len(first) > 900 and max(first) == 999
 
 
+def test_equal_weight_spellings_share_one_float() -> None:
+    text = serialize_hmetis(gen_random_hypergraph(1000, 3000, 4, 100, seed=15))
+    for source in (text, text.encode()):
+        hg = parse_hmetis(source)
+        # every weight is spelled as a plain integer, so equal values are
+        # equal spellings
+        first: dict[float, float] = {}
+        for w in hg.weights:
+            assert first.setdefault(w, w) is w
+        assert len(first) == 100
+
+
 def test_parsed_instance_costs_little_per_pin() -> None:
     # A fresh int per pin would cost about 63 traced bytes per pin here; one
     # int per vertex id costs about 42.
@@ -339,6 +351,13 @@ def test_synthesize_size_complement() -> None:
     assert list(sc.weights) == [2.0, 1.0]
 
 
+def test_synthesize_size_complement_shares_one_float_per_size() -> None:
+    hg = gen_random_hypergraph(1000, 3000, 4, 100, seed=15)
+    sc = synthesize_weights(hg, WeightScheme.SIZE_COMPLEMENT)
+    assert sc.weights == tuple(float(hg.d - len(verts) + 1) for verts in hg.vertices)
+    assert len(set(map(id, sc.weights))) == len(set(map(len, hg.vertices))) == 4
+
+
 def test_synthesize_size_complement_largest_edge_gets_one() -> None:
     for hg in random_instances(30, meta_seed=102):
         if hg.m == 0:
@@ -376,7 +395,10 @@ def test_order_random_deterministic_per_seed() -> None:
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**40])
 def test_order_random_is_random_shuffle(seed: int) -> None:
-    for m in [*range(20), 255, 256, 257, 999, 1000]:
+    # the shuffle draws k bits for each i whose i + 1 has k bits, in bands
+    # that end at powers of two: every band edge up to 2^12 + 2 edges
+    edges = [2**k + d for k in range(1, 13) for d in (-1, 0, 1, 2)]
+    for m in sorted({*range(20), 255, 256, 257, 999, 1000, *edges}):
         hg = Hypergraph(1, [(0,)] * m, [1.0] * m)
         expected = list(range(m))
         random.Random(seed).shuffle(expected)
@@ -564,3 +586,40 @@ def test_spelling_table_stops_at_its_id_cap(spelling_built, n: int, built: bool)
     assert spelling_built == [built]
     assert hg.vertices == ((0, n - 1), (0, 1, n - 1), (n - 2,))
     assert hg.vertices[0][1] is hg.vertices[1][2]
+
+
+WEIGHT_SPELLINGS = ["5", "5.0", "05", "+5", "5e0", "1_0", "٥", "nan", "x", "1e999"]
+
+
+@pytest.mark.parametrize("token", WEIGHT_SPELLINGS)
+def test_weight_spellings_read_as_float_reads_them(monkeypatch, spelling_built, token) -> None:
+    # the token's second line reads it from the weight table, its first through float()
+    text = f"4 3 1\n5 1 2\n{token} 2 3\n{token} 1 3\n5 1\n"
+    _assert_both_paths_read_alike(spelling_built, text)
+    sources = (text, text.encode(), LONG_PAD + text, (LONG_PAD + text).encode())
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest, "_SPELLED_WEIGHTS_MAX", 0)  # every weight through float()
+        unshared = [_read(source) for source in sources]
+    assert [_read(source) for source in sources] == unshared
+    try:
+        weight = float(token)
+    except ValueError:
+        weight = None
+    if weight is not None and 0 < weight < float("inf"):
+        hg = parse_hmetis(text)
+        assert hg.weights == (5.0, weight, weight, 5.0)
+        assert hg.weights[1] is hg.weights[2] and hg.weights[0] is hg.weights[3]
+    else:
+        assert unshared[0][0] is ParseError and unshared[0][2] == 3
+
+
+@pytest.mark.parametrize("spellings,shared", [(1 << 12, True), ((1 << 12) + 1, False)])
+def test_weight_table_stops_at_its_cap(spellings: int, shared: bool) -> None:
+    # weights 1..spellings, then the last and the first again: the first is
+    # in the table either way, the last only while the table had room
+    values = [*range(1, spellings + 1), spellings, 1]
+    text = f"{len(values)} 1 1\n" + "".join(f"{w} 1\n" for w in values)
+    hg = parse_hmetis(text)
+    assert hg.weights == tuple(map(float, values))
+    assert hg.weights[-1] is hg.weights[0]
+    assert (hg.weights[-2] is hg.weights[spellings - 1]) is shared
