@@ -228,7 +228,9 @@ def logical_memory(algorithm: str, hg: Hypergraph, metrics: RunMetrics) -> int:
     The stack family holds its stacked pins plus one potential per vertex;
     the swap and naive matchers hold one edge reference per vertex (they
     stack nothing, so their ``peak_stack_pins`` is 0); greedy must keep
-    every pin of the instance in order to sort it.
+    every pin of the instance in order to sort it.  The swap matcher's
+    per-vertex threshold is a cache derived from its edge reference, so it
+    adds no unit: its state stays O(n).
     """
     return hg.total_pins if algorithm == "greedy" else metrics.peak_stack_pins + hg.n
 

@@ -9,8 +9,7 @@ edge id.  Weights are positive 64-bit floats; unit weights are the value
 ``1.0``.  Equal weights may be one shared ``float`` object, as the parser
 and the weight schemes build them: an edge then costs an 8-byte reference
 for its weight, not a 24-byte float of its own, and a kernel reading
-weights out of edge order touches only the few distinct objects (about
-12% faster kernels on a 1e5-edge instance with 100 distinct weights).
+weights out of edge order touches only the few distinct objects.
 Nothing may rely on weights being distinct objects, or on equal ones being
 shared.
 A matching is a set of pairwise vertex-disjoint edge ids together

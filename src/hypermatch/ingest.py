@@ -108,11 +108,8 @@ def parse_hmetis(source: str | bytes) -> Hypergraph:
     those of ``float()`` on every token; ``"5"`` and ``"5.0"`` are two
     spellings of one value and get two objects.  The cap bounds the table
     at about 0.45 MB on a text whose weights never repeat; tokens past it
-    are read by ``float()`` alone.  On a 1e5-edge text with 100 distinct
-    weights the instance shrinks from 122 to 98 traced bytes per edge and
-    the kernels run about 12% faster over it; a 1e5-edge text whose
-    weights never repeat parses about 6% slower (Python 3.11).  This table
-    is dropped before ``Hypergraph`` runs too.
+    are read by ``float()`` alone.  This table is dropped before
+    ``Hypergraph`` runs too.
     """
     if isinstance(source, bytes) and not source.isascii():
         try:
@@ -207,19 +204,10 @@ def _spelled_ids(canonical, top: int, size: int):
     """``{str(v): canonical(v) for v in 1..top}.__getitem__``, or None
     where the table would not pay for itself in a text of ``size`` items.
 
-    Measured against ``int()`` plus an index on random texts of edges with
-    1-8 pins, 20-45 pins per id (Python 3.11): the table parses 9-20%
-    faster with 5e3 to 3.2e4 ids.  On the 1e6-edge text of
-    ``bench/instances.random_instance(100000, 1000000, 8, 100, 1)``, with
-    the table forced on, it parses 9-14% faster with 1e5 ids (1.98 against
-    2.23 s in-process, 6 of 6 pairs; peak RSS 192 against 188 MB) and no
-    faster with 3e5 ids (6.4-7.5 against 6.4-7.0 s, slower in 2 of 3
-    pairs; 550 against 542 MB), whose entries (about 100 bytes each) no
-    longer stay in the cache.  So the crossover lies between 1e5 and 3e5
-    ids.  ``_SPELLED_IDS_MAX`` stays at 2^15 until a benchmark workload on
-    each side of the rule can gate moving it.  ``_TEXT_PER_SPELLED_ID``
-    keeps the table smaller than the text and asks for about 20 pins per
-    id to pay for building it.
+    The table pays only while its entries stay in the cache, so
+    ``_SPELLED_IDS_MAX`` caps the ids it takes (see README, "Measured").
+    ``_TEXT_PER_SPELLED_ID`` keeps the table smaller than the text and asks
+    for about 20 pins per id to pay for building it.
     """
     if top > min(size // _TEXT_PER_SPELLED_ID, _SPELLED_IDS_MAX):
         return None

@@ -3,17 +3,20 @@
 Each vertex holds a reference to the matched edge covering it (or none).
 An arriving edge collects the distinct matched edges it touches; it takes
 their place exactly when its weight is at least ``(1 + alpha)`` times
-their combined weight.  Memory is one edge reference per vertex, so the
-live state never exceeds the vertex count regardless of stream length.
+their combined weight.  Memory is one edge reference per vertex plus its
+threshold, so the live state stays O(n) regardless of stream length.
 
-The owner scan stops at the first owner that alone decides the edge,
-``W(e) < (1 + alpha) * W(owner)``, and the edge is rejected with no sort
-and no sum.  That cannot change a decision: weights are positive, so the
-combined weight, rounded in any order, is at least each of its terms, and
-``(1 + alpha) * x`` rounds monotonically in ``x``.  A lone owner is
-decided in the scan, since its sum is its own weight; two or more are
-summed in ascending id order before the final test.  The per-edge
-reference in the tests always takes the full sum.
+The threshold ``bar[v]`` is ``(1 + alpha) * W(best[v])``, or ``0.0`` for a
+free vertex: a cache of ``best``, written when an edge claims ``v`` and
+reset when its edge is evicted.  An arrival is rejected at the first pin
+with ``W(e) < bar[v]``, with no owner lookup, sort or sum.  That cannot
+change a decision: weights are positive, so the combined weight, rounded
+in any order, is at least each of its terms, and ``(1 + alpha) * x``
+rounds monotonically in ``x``.  An arrival that passes every pin collects
+its distinct owners; a lone owner is decided by its bar, since its sum is
+its own weight, and two or more are summed in ascending id order before
+the final test.  The per-edge reference in the tests always takes the
+full sum.
 
 For ``alpha > 0`` the final matching is within ``swapset_ratio(alpha, d)``
 of optimal on instances of maximum edge size ``d``; :func:`optimal_alpha`
@@ -42,6 +45,7 @@ def run_swapset(
     if not 0 <= alpha < math.inf:
         raise InvalidInput(f"alpha must be non-negative and finite, got {alpha}")
     best: list[Optional[int]] = [None] * hg.n
+    bar = [0.0] * hg.n
     vertices, weights = hg.vertices, hg.weights
     scale = 1.0 + alpha
     metrics = RunMetrics()
@@ -51,18 +55,17 @@ def run_swapset(
     for eid in stream:
         verts = vertices[eid]
         w = weights[eid]
-        owners = []
         for v in verts:
-            other = best[v]
-            if other is not None and other not in owners:
-                # one owner that outweighs the edge already decides it:
-                # the full conflict sum is no smaller than this term
-                if w < scale * weights[other]:
-                    break
-                owners.append(other)
+            if w < bar[v]:
+                break
         else:
+            owners = []
+            for v in verts:
+                other = best[v]
+                if other is not None and other not in owners:
+                    owners.append(other)
             # with no owner a positive weight always enters, and a lone
-            # owner's sum is its own weight, already tested in the scan
+            # owner's sum is its own weight, already tested against its bar
             if len(owners) > 1:
                 owners.sort()
                 conflict_weight = 0.0
@@ -73,8 +76,11 @@ def run_swapset(
             for other in owners:
                 for v in vertices[other]:
                     best[v] = None
+                    bar[v] = 0.0
+            threshold = scale * w
             for v in verts:
                 best[v] = eid
+                bar[v] = threshold
             fired += 1
     matched = {eid for eid in best if eid is not None}
     metrics.runtime_ns = time.perf_counter_ns() - start

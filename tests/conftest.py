@@ -60,3 +60,46 @@ def ulp_neighbours(x: float) -> tuple[float, float, float]:
 def stream_forms(stream: list[int]) -> list:
     """``stream`` as an iterator, a generator, a tuple and an ``array('q')``."""
     return [iter(stream), (eid for eid in stream), tuple(stream), array("q", stream)]
+
+
+def planted_instance(
+    n: int, m: int, d: int, r_max: int, seed: int, tight: bool = False
+) -> tuple[Hypergraph, list[int], int]:
+    """A seeded instance of ``m`` edges on ``n`` vertices whose optimum is known.
+
+    Returns ``(hg, y, opt)``.  The vertices, shuffled, are cut into
+    ``n // d`` disjoint planted edges of ``d`` vertices; a planted edge
+    weighs ``d * r`` for a seeded integer ``r`` in ``1..r_max``, and each
+    of its vertices gets the potential ``y[v] = r`` (a vertex left over
+    gets 0).  The other edges are noise: ``d`` distinct random vertices
+    each, weighing a random integer in ``1..y(e)``, or exactly ``y(e)``
+    when ``tight``, where ``y(e)`` is the potential sum over the edge (a
+    noise edge with ``y(e) = 0`` is drawn again).  So ``y >= 0`` covers
+    every edge and sums to the planted weight: by weak duality the planted
+    edges are a maximum matching, and ``opt``, their weight, is exact in
+    integers.  The edge ids are shuffled, so the planted edges do not come
+    first.  Requires ``1 <= d <= n``.
+    """
+    assert 1 <= d <= n, (d, n)
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    y = [0] * n
+    edges = []
+    for i in range(0, n - n % d, d):
+        r = rng.randint(1, r_max)
+        verts = tuple(sorted(order[i : i + d]))
+        for v in verts:
+            y[v] = r
+        edges.append((verts, d * r))
+    opt = sum(w for _, w in edges)
+    while len(edges) < m:
+        drawn = set()
+        while len(drawn) < d:
+            drawn.add(rng.randrange(n))
+        verts = tuple(sorted(drawn))
+        cover = sum(y[v] for v in verts)
+        if cover:
+            edges.append((verts, cover if tight else rng.randint(1, cover)))
+    rng.shuffle(edges)
+    return Hypergraph(n, [v for v, _ in edges], [float(w) for _, w in edges]), y, opt
