@@ -12,21 +12,15 @@ from __future__ import annotations
 import time
 from typing import Iterable
 
-from .core import Hypergraph, Matching, RunMetrics, check_stream, first_fit
+from .core import Hypergraph, Matching, RunMetrics, check_stream, finish_run, first_fit
 from .ingest import StreamOrder, order_stream
 
 
 def run_naive(hg: Hypergraph, stream: Iterable[int]) -> tuple[Matching, RunMetrics]:
     """First-fit over ``stream``, read as :func:`check_stream` reads it."""
     stream = check_stream(hg, stream)
-    metrics = RunMetrics()
     start = time.perf_counter_ns()
-    chosen = first_fit(hg, stream)
-    metrics.runtime_ns = time.perf_counter_ns() - start
-    matching = Matching.from_edge_ids(hg, chosen)
-    metrics.matching_weight = matching.weight
-    metrics.cardinality = matching.cardinality
-    return matching, metrics
+    return finish_run(hg, first_fit(hg, stream), start)
 
 
 def run_greedy(hg: Hypergraph) -> tuple[Matching, RunMetrics]:
@@ -35,13 +29,6 @@ def run_greedy(hg: Hypergraph) -> tuple[Matching, RunMetrics]:
     Sorting is part of the measured runtime.  The result is identical to
     ``run_naive(hg, order_stream(hg, StreamOrder.DESCENDING))``.
     """
-    metrics = RunMetrics()
     start = time.perf_counter_ns()
-    stream = order_stream(hg, StreamOrder.DESCENDING)
-    chosen = first_fit(hg, stream)
-    metrics.runtime_ns = time.perf_counter_ns() - start
-    matching = Matching.from_edge_ids(hg, chosen)
-    metrics.matching_weight = matching.weight
-    metrics.cardinality = matching.cardinality
-    return matching, metrics
+    return finish_run(hg, first_fit(hg, order_stream(hg, StreamOrder.DESCENDING)), start)
 

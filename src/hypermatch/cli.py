@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from .ingest import (
     ParseError,
     StreamOrder,
     WeightScheme,
+    check_seed,
     gen_random_hypergraph,
     order_stream,
     parse_hmetis,
@@ -92,8 +94,8 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         _check_source(self.source)
-        for name, kind in FIELD_TYPES.items():
-            _check_type(name, getattr(self, name), kind)
+        for name in FIELD_TYPES:
+            _check_field(name, getattr(self, name))
         for knob, value in _knobs(self.algorithm, self.epsilon, self.alpha).items():
             object.__setattr__(self, knob, value)
 
@@ -119,9 +121,12 @@ def _check_source(source) -> None:
             f"source must be a file path or (n, m, d_max, w_max), got {source!r}")
 
 
-def _check_type(name: str, value, kind: type) -> None:
+def _check_field(name: str, value) -> None:
+    kind = FIELD_TYPES[name]
     if not (type(value) is int if kind is int else isinstance(value, kind)):
         raise InvalidInput(f"{name} must be of type {kind.__name__}, got {value!r}")
+    if name == "seed":
+        check_seed(value)
 
 
 def _knobs(algorithm: str, epsilon=None, alpha=None) -> dict:
@@ -354,8 +359,8 @@ def expand_grid(
     """Cartesian product of the axes, skipping knobs an algorithm lacks;
     a knob value of None runs the cell with that knob's default.
 
-    Every axis value is checked once, before the first cell, with the
-    message ``RunSpec`` gives it; the cells are then built from those
+    Every axis value is checked once, when this is called, with the
+    message ``RunSpec`` gives it; the cells are then built lazily from those
     checked values without checking each one again.
     """
     for source in sources:
@@ -363,23 +368,18 @@ def expand_grid(
     for name, values in (("weights", [weights]), ("order", orders), ("seed", seeds),
                          ("certify", [certify]), ("emit_matching", [emit_matching])):
         for value in values:
-            _check_type(name, value, FIELD_TYPES[name])
+            _check_field(name, value)
     axes = {"epsilon": epsilons, "alpha": alphas}
     settings = []
     for algorithm in algorithms:
         knob = KNOBS.get(algorithm)
         for setting in [{knob: value} for value in axes[knob]] if knob else [{}]:
             settings.append((algorithm, _knobs(algorithm, **setting)))
-    for source in sources:
-        for algorithm, knobs in settings:
-            for order in orders:
-                for seed in seeds:
-                    for repeat in range(repeats):
-                        yield RunSpec._of_checked(
-                            source=source, weights=weights, algorithm=algorithm,
-                            order=order, seed=seed, certify=certify,
-                            emit_matching=emit_matching, repeat=repeat, **knobs,
-                        )
+    cells = itertools.product(sources, settings, orders, seeds, range(repeats))
+    return (RunSpec._of_checked(source=source, weights=weights, algorithm=algorithm,
+                                order=order, seed=seed, certify=certify,
+                                emit_matching=emit_matching, repeat=repeat, **knobs)
+            for source, (algorithm, knobs), order, seed, repeat in cells)
 
 
 def oracle_record(

@@ -26,6 +26,7 @@ would the records.
 from __future__ import annotations
 
 import math
+import time
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -274,9 +275,11 @@ def validate_matching(hg: Hypergraph, matching: Matching) -> bool:
 class RunMetrics:
     """Counters reported by every algorithm run.
 
-    Fields that do not apply to an algorithm stay at zero.  ``runtime_ns``
-    covers the algorithm only, never input parsing, and is the one field
-    exempt from determinism guarantees.
+    Fields that do not apply to an algorithm stay at zero.  ``runtime_ns``,
+    set by :func:`finish_run`, covers the kernel from after the stream check
+    and its per-vertex set-up up to its chosen ids, greedy's sort included;
+    building and checking the matching come after the clock stops.  It is
+    the one field exempt from determinism guarantees.
     """
 
     matching_weight: float = 0.0
@@ -288,3 +291,11 @@ class RunMetrics:
     swaps: int = 0
     vertex_push_max: int = 0
     runtime_ns: int = 0
+
+
+def finish_run(hg: Hypergraph, chosen: Iterable[int], start: int) -> tuple[Matching, RunMetrics]:
+    """Stop the clock started at ``start``, then build the matching of ``chosen``
+    and a fresh :class:`RunMetrics` of its runtime, weight and cardinality."""
+    runtime_ns = time.perf_counter_ns() - start
+    matching = Matching.from_edge_ids(hg, chosen)
+    return matching, RunMetrics(matching.weight, matching.cardinality, runtime_ns=runtime_ns)

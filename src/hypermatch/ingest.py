@@ -343,7 +343,7 @@ def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> Stream:
     elif order is StreamOrder.ASCENDING or order is StreamOrder.DESCENDING:
         ids.sort(key=hg.weights.__getitem__, reverse=order is StreamOrder.DESCENDING)
     elif order is StreamOrder.RANDOM:
-        getrandbits = random.Random(seed).getrandbits
+        getrandbits = random.Random(check_seed(seed)).getrandbits
         # j uniform in 0..i by rejection, drawing as many bits as i + 1 has:
         # i walks down in bands whose i + 1 has k bits, 2^(k-1) - 1 <= i < 2^k - 1
         top = hg.m - 1
@@ -358,6 +358,14 @@ def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> Stream:
     else:
         raise InvalidInput(f"unknown stream order {order!r}")
     return Stream._of_permutation(ids)
+
+
+def check_seed(seed: int) -> int:
+    """``seed``, refused when negative: ``random.Random`` seeds an int by its
+    absolute value, so ``-7`` would draw exactly what ``7`` draws."""
+    if seed < 0:
+        raise InvalidInput(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def gen_random_hypergraph(n: int, m: int, d_max: int, w_max: int, seed: int) -> Hypergraph:
@@ -393,7 +401,7 @@ def gen_random_hypergraph(n: int, m: int, d_max: int, w_max: int, seed: int) -> 
         raise InvalidInput(f"w_max must be at least 1, got {w_max}")
     if w_max > sys.float_info.max:  # its draws could not be stored as floats
         raise InvalidInput(f"w_max must be at most the largest float, {sys.float_info.max}")
-    getrandbits = random.Random(seed).getrandbits
+    getrandbits = random.Random(check_seed(seed)).getrandbits
     # as randint and sample take them: any integer type, through __index__
     d_bits, n_bits, w_bits = (operator.index(k).bit_length() for k in (d_max, n, w_max))
     # the least size drawn from a pool, found by bisection: the pool limit

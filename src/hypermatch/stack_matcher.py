@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Hypergraph, InvalidInput, Matching, RunMetrics, check_stream, first_fit
+from .core import Hypergraph, InvalidInput, Matching, RunMetrics, check_stream, finish_run, first_fit
 
 
 class UpdateRule(enum.Enum):
@@ -78,7 +78,6 @@ def run_stack_stream(
     stack: list[int] = []
     stack_pins = 0
     pushes_per_vertex = [0] * hg.n
-    metrics = RunMetrics()
     vertices, weights = hg.vertices, hg.weights
     scale = 1.0 + epsilon
     lenient = rule is UpdateRule.LENIENT
@@ -102,12 +101,7 @@ def run_stack_stream(
             for v in verts:
                 potentials[v] += surplus
                 pushes_per_vertex[v] += 1
-    chosen = first_fit(hg, reversed(stack))
-    metrics.runtime_ns = time.perf_counter_ns() - start
-
-    matching = Matching.from_edge_ids(hg, chosen)
-    metrics.matching_weight = matching.weight
-    metrics.cardinality = matching.cardinality
+    matching, metrics = finish_run(hg, first_fit(hg, reversed(stack)), start)
     # The stream phase only pushes and the unwind pops every entry, so the
     # stack peaks at its final edge and pin counts, and pushes == pops.
     metrics.pushes = metrics.pops = metrics.peak_stack_edges = len(stack)

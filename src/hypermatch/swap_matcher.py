@@ -30,7 +30,7 @@ import math
 import time
 from typing import Iterable, Optional
 
-from .core import Hypergraph, InvalidInput, Matching, RunMetrics, check_stream
+from .core import Hypergraph, InvalidInput, Matching, RunMetrics, check_stream, finish_run
 
 
 def run_swapset(
@@ -48,7 +48,6 @@ def run_swapset(
     bar = [0.0] * hg.n
     vertices, weights = hg.vertices, hg.weights
     scale = 1.0 + alpha
-    metrics = RunMetrics()
 
     start = time.perf_counter_ns()
     fired = 0
@@ -82,16 +81,10 @@ def run_swapset(
                 best[v] = eid
                 bar[v] = threshold
             fired += 1
-    matched = {eid for eid in best if eid is not None}
-    metrics.runtime_ns = time.perf_counter_ns() - start
-
+    matching, metrics = finish_run(hg, {eid for eid in best if eid is not None}, start)
     # Every fired swap adds one edge and evicts its conflicts, so the edges
     # evicted are the swaps fired less the edges still matched.
-    metrics.swaps = fired - len(matched)
-
-    matching = Matching.from_edge_ids(hg, matched)
-    metrics.matching_weight = matching.weight
-    metrics.cardinality = matching.cardinality
+    metrics.swaps = fired - metrics.cardinality
     return matching, metrics
 
 

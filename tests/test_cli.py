@@ -329,7 +329,8 @@ def test_expand_grid_builds_the_specs_that_run_spec_builds() -> None:
     for axis, bad, field in (("seeds", [0, 1.0], {"seed": 1.0}),
                              ("orders", [StreamOrder.ORIGINAL, "random"], {"order": "random"}),
                              ("sources", ["x.hgr", (5, 6, 2)], {"source": (5, 6, 2)}),
-                             ("epsilons", [0.5, "1"], {"algorithm": "stack", "epsilon": "1"})):
+                             ("epsilons", [0.5, "1"], {"algorithm": "stack", "epsilon": "1"}),
+                             ("seeds", [0, -1], {"seed": -1})):
         with pytest.raises(InvalidInput) as direct:
             cli.RunSpec(**{"source": "x.hgr", **field})
         with pytest.raises(InvalidInput) as expanded:
@@ -638,6 +639,29 @@ def test_non_finite_knobs_exit_2(capsys) -> None:
 def test_bad_gen_spec_exits_2(capsys) -> None:
     code, _, _ = run_cli(["run", "--gen", "5,5", "--algorithm", "naive"], capsys)
     assert code == 2
+    code, out, err = run_cli(["run", "--gen", "5,x,2,10", "--algorithm", "naive"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "invalid_input",
+                               "message": "--gen wants four integers, got '5,x,2,10'"}
+
+
+def test_a_negative_seed_exits_2(tmp_path, capsys) -> None:
+    # random.Random seeds an int by its absolute value, so -7 would rerun 7;
+    # the spec refuses it before any file is read or output opened
+    kept = tmp_path / "kept.csv"
+    kept.write_text("keep\n")
+    for argv, seed in (
+        (["run", "--gen", "50,200,3,10", "--algorithm", "stack", "--order", "random"], -7),
+        (["grid", "--gen", "50,200,3,10", "--seed", "1", "--algorithm", "naive",
+          "--output", str(kept)], -1),
+        (["run", "--input", "/no/such/file.hgr", "--algorithm", "naive"], -1),
+        (["oracle", "--gen", "10,12,3,10"], -2),
+    ):
+        code, out, err = run_cli([*argv, "--seed", str(seed)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "invalid_input",
+                                   "message": f"seed must be non-negative, got {seed}"}
+    assert kept.read_text() == "keep\n"
 
 
 def test_bad_flags_are_reported_as_json(capsys) -> None:

@@ -373,6 +373,14 @@ def test_synthesize_empty_hypergraph() -> None:
     assert synthesize_weights(hg, WeightScheme.SIZE_COMPLEMENT).m == 0
 
 
+def test_unknown_scheme_and_order_are_refused() -> None:
+    hg = parse_hmetis("2 3 1\n5 1 2\n7 2 3\n")
+    with pytest.raises(InvalidInput, match="unknown weight scheme"):
+        synthesize_weights(hg, "unit")
+    with pytest.raises(InvalidInput, match="unknown stream order"):
+        order_stream(hg, "random")
+
+
 def test_order_examples() -> None:
     hg = parse_hmetis("3 4 1\n3 1 2\n1 2 3\n2 3 4\n")  # weights 3, 1, 2
     assert list(order_stream(hg, StreamOrder.ORIGINAL)) == [0, 1, 2]
@@ -493,6 +501,15 @@ def test_gen_instance_at_scale_is_pinned() -> None:
 def test_gen_rejects_bad_parameters(n, m, d_max, w_max) -> None:
     with pytest.raises(InvalidInput):
         gen_random_hypergraph(n, m, d_max, w_max, seed=0)
+
+
+def test_a_negative_seed_is_refused() -> None:
+    # random.Random seeds an int by its absolute value: -7 would draw what 7 draws
+    with pytest.raises(InvalidInput, match="seed must be non-negative, got -7"):
+        gen_random_hypergraph(50, 200, 3, 10, seed=-7)
+    hg = gen_random_hypergraph(50, 200, 3, 10, seed=7)
+    with pytest.raises(InvalidInput, match="seed must be non-negative, got -7"):
+        order_stream(hg, StreamOrder.RANDOM, -7)
 
 
 # A leading comment long enough for the spelling table to cover the ids of
