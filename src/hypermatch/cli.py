@@ -313,31 +313,28 @@ def grid(specs: Iterable[RunSpec]) -> Iterator[ResultRecord]:
     Each instance is loaded once and shared, with its exact optimum, by the
     cells that use it: a file is read once per weight scheme, a generated
     instance once per seed and weight scheme.  Each loaded instance orders
-    each distinct (order, seed) stream once.  The cache holds one source
-    at a time, since ``expand_grid`` iterates sources outermost.  A failed
-    load is cached too, as its error text, so a bad source is read once and
-    every cell of it gets its own row with that error.
+    each distinct (order, seed) stream once.  The cache holds one run of
+    equal sources at a time; ``expand_grid`` iterates sources outermost.
+    A failed load is cached too, as its error text, so a bad source is read
+    once per run and every cell of it gets its own row with that error.
     """
-    source = None
-    loaded: dict[tuple, Union[_LoadedInstance, str]] = {}
-    for spec in specs:
-        # --seed changes a generated instance but not a file's contents
-        key = (spec.source, spec.weights, None if isinstance(spec.source, str) else spec.seed)
-        if key[0] != source:
-            source = key[0]
-            loaded.clear()
-        instance = loaded.get(key)  # None: the last source's instance is not held during a load
-        if instance is None:
+    for source, group in itertools.groupby(specs, attrgetter("source")):
+        loaded: dict[tuple, Union[_LoadedInstance, str]] = {}
+        for spec in group:
+            # --seed changes a generated instance but not a file's contents
+            key = (spec.weights, None if isinstance(source, str) else spec.seed)
+            instance = loaded.get(key)  # None: the last source's instance is not held in a load
+            if instance is None:
+                try:
+                    instance = loaded[key] = _LoadedInstance(load_instance(spec))
+                except tuple(INPUT_FAILURES) as exc:
+                    instance = loaded[key] = _error_text(exc)
             try:
-                instance = loaded[key] = _LoadedInstance(load_instance(spec))
+                record = (_run_cell(spec, instance) if isinstance(instance, _LoadedInstance)
+                          else ResultRecord.for_spec(spec, error=instance))
             except tuple(INPUT_FAILURES) as exc:
-                instance = loaded[key] = _error_text(exc)
-        try:
-            record = (_run_cell(spec, instance) if isinstance(instance, _LoadedInstance)
-                      else ResultRecord.for_spec(spec, error=instance))
-        except tuple(INPUT_FAILURES) as exc:
-            record = ResultRecord.for_spec(spec, error=_error_text(exc))
-        yield record
+                record = ResultRecord.for_spec(spec, error=_error_text(exc))
+            yield record
 
 
 def _error_text(exc: Exception) -> str:

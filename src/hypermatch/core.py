@@ -71,7 +71,6 @@ class Hypergraph:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "weights", weights)
         total_weight = 0.0
-        d = total_pins = 0
         for eid, verts in enumerate(vertices):
             if not verts:
                 raise InvalidInput(f"edge {eid} has no vertices")
@@ -92,14 +91,10 @@ class Hypergraph:
             if not 0.0 < w < math.inf:
                 raise InvalidInput(f"edge {eid} needs a positive finite weight, got {w}")
             total_weight += w
-            size = len(verts)
-            total_pins += size
-            if size > d:
-                d = size
         if not math.isfinite(total_weight):
             raise InvalidInput("the total edge weight overflows a 64-bit float")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "total_pins", total_pins)
+        object.__setattr__(self, "d", max(map(len, vertices), default=0))
+        object.__setattr__(self, "total_pins", sum(map(len, vertices)))
 
     @property
     def m(self) -> int:

@@ -385,6 +385,25 @@ def test_grid_loads_and_solves_each_instance_once(tmp_path, monkeypatch) -> None
         (original, 1), (original, 2), (shuffled, 1), (shuffled, 2),  # one instance per seed
     ]
 
+    # the cache lives for one run of equal sources: a source that comes back
+    # after another is loaded again
+    specs = list(cli.expand_grid(
+        sources=[str(path), (8, 10, 3, 50), str(path)],
+        algorithms=["naive", "stack"], epsilons=[0.5], alphas=["auto"],
+        orders=[StreamOrder.RANDOM], seeds=[1, 2], repeats=1,
+        weights=WeightScheme.FROM_FILE, certify=True, emit_matching=True,
+    ))
+    monkeypatch.undo()
+    expected = [cli.run(spec).as_dict() for spec in specs]
+    calls["load"].clear()
+    monkeypatch.setattr(cli, "load_instance", counting_load)
+    got = [record.as_dict() for record in cli.grid(specs)]
+    for record in expected + got:
+        assert record["error"] is None
+        record.pop("runtime_ns")
+    assert got == expected
+    assert calls["load"] == [str(path), ((8, 10, 3, 50), 1), ((8, 10, 3, 50), 2), str(path)]
+
 
 def test_oracle_subcommand(tmp_path, capsys) -> None:
     path = tmp_path / "two.hgr"
