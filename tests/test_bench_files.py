@@ -14,17 +14,19 @@ _spec = importlib.util.spec_from_file_location("bench_files", ROOT / "tools" / "
 bench_files = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_files)
 
-END_TO_END = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = [m["name"] for m in SPEC["end_to_end"]]
 
 
-def fake_bench(correct: dict) -> SimpleNamespace:
-    """A stand-in for ``subprocess`` running ``bench/run.py``: ``op_p50_ms``,
-    ``edges_per_s`` and the report's ``op_p50_wall_ms`` read the seed, and
-    every other metric reads 1."""
+def fake_bench(correct: dict, scale: float = 1) -> SimpleNamespace:
+    """A stand-in for ``subprocess`` running ``bench/run.py``: ``op_p50_ms``
+    and ``edges_per_s`` read the seed times ``scale``, the report's
+    ``op_p50_wall_ms`` reads the seed, and every other metric reads 1."""
 
     def run(argv, **kwargs):
         workload, seed = argv[argv.index("--workload") + 1], int(argv[argv.index("--seed") + 1])
-        values = {name: 1.0 for name in END_TO_END} | {"op_p50_ms": seed, "edges_per_s": seed}
+        values = {name: 1.0 for name in END_TO_END} | {"op_p50_ms": seed * scale,
+                                                        "edges_per_s": seed * scale}
         last = {"correct": correct[workload], "attempted": 3, "failed": 0,
                 "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()}}
         stdout = (f"host_slowdown  0.5 ratio    median calibration time\n"
@@ -44,10 +46,11 @@ def checkout(tmp_path, monkeypatch):
 
 def test_writes_medians_and_report_values(checkout, monkeypatch) -> None:
     monkeypatch.setattr(bench_files, "subprocess", fake_bench({"kernels": True}))
-    assert bench_files.main(["kernels", "--seeds", "1", "4", "3", "--seconds", "2"]) == 0
+    monkeypatch.setattr(bench_files, "SEEDS", (1, 4, 3))
+    assert bench_files.main(["kernels"]) == 0
     written = json.loads((checkout / "BENCH_kernels.json").read_text())
     assert written["provenance"]["seeds"] == [1, 4, 3]
-    assert written["provenance"]["seconds"] == 2.0
+    assert written["provenance"]["seconds"] == SPEC["run_seconds"]
     assert written["metrics"]["op_p50_ms"] == {"unit": "ms", "values": [1, 4, 3],
                                                "median": 3, "better": "lower", "bound": 0.25}
     assert written["reported"]["op_p50_wall_ms"]["median"] == 3.0
@@ -57,22 +60,31 @@ def test_writes_medians_and_report_values(checkout, monkeypatch) -> None:
 def test_no_file_unless_every_run_is_correct(checkout, monkeypatch) -> None:
     fake = fake_bench({"kernels": True, "file-grid": False})
     monkeypatch.setattr(bench_files, "subprocess", fake)
+    monkeypatch.setattr(bench_files, "SEEDS", (1,))
     with pytest.raises(SystemExit, match="file-grid seed 1"):
-        bench_files.main(["kernels", "file-grid", "--seeds", "1"])
+        bench_files.main(["kernels", "file-grid"])
     assert list(checkout.glob("BENCH_*.json")) == []
 
 
 def test_diff_flags_a_metric_worse_than_its_bound(checkout, monkeypatch, capsys) -> None:
+    monkeypatch.setattr(bench_files, "SEEDS", (4,))
     monkeypatch.setattr(bench_files, "subprocess", fake_bench({"kernels": True}))
-    bench_files.main(["kernels", "--seeds", "4"])
-    old = checkout / "old.json"
-    (checkout / "BENCH_kernels.json").rename(old)
+    bench_files.main(["kernels"])
+    old, new = checkout / "old.json", checkout / "BENCH_kernels.json"
+    new.rename(old)
     capsys.readouterr()
-    for seed, status in ((4, 0), (5, 0), (6, 1)):  # op_p50_ms bound 0.25: 6/4 is worse by 50%
-        bench_files.main(["kernels", "--seeds", str(seed)])
-        assert bench_files.diff(old, checkout / "BENCH_kernels.json") == status
+    for scale, status in ((1, 0), (1.25, 0), (1.5, 1)):  # op_p50_ms bound 0.25
+        monkeypatch.setattr(bench_files, "subprocess", fake_bench({"kernels": True}, scale))
+        bench_files.main(["kernels"])
+        assert bench_files.diff(old, new) == status
         rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
-        assert rows["op_p50_ms"][3:] == [f"{seed / 4:.6g}", "0.25",
-                                         "WORSE" if seed > 5 else "ok"]
+        assert rows["op_p50_ms"][3:] == [f"{scale:.6g}", "0.25", "WORSE" if scale > 1.25 else "ok"]
         # higher is better: edges_per_s rose, so it is never worse
         assert rows["edges_per_s"][-1] == "ok"
+    # runs that do not match are refused, whatever their figures
+    written = json.loads(new.read_text())
+    for key, value in (("workload", "file-grid"), ("seeds", [4, 5]), ("seconds", 10.0),
+                       ("python", "CPython 3.0.0"), ("platform", "elsewhere")):
+        new.write_text(json.dumps({**written, "provenance": {**written["provenance"], key: value}}))
+        assert bench_files.diff(old, new) == 2
+        assert capsys.readouterr().err.endswith(f"differ in {key}; not compared\n")

@@ -2,23 +2,24 @@
 
 Run from anywhere in a source checkout:
 
-    python3 tools/bench_files.py file-grid kernels certify-small   # 3 seeds x 30 s each
-    python3 tools/bench_files.py kernels --seeds 1 2 3 4 5 --seconds 10
+    python3 tools/bench_files.py file-grid kernels certify-small
     python3 tools/bench_files.py --diff old/BENCH_kernels.json BENCH_kernels.json
 
-Each seed runs ``python3 bench/run.py --workload W --seed s --seconds S`` in
-a fresh process.  A file holds each end-to-end metric of ``BENCHMARK.json``
-with its per-seed values and their median, the same for ``host_slowdown`` and
-``op_p50_wall_ms`` from the report above the last line, and the provenance of
-the runs.  No file is written unless every run exited 0 and its last line
-reads ``correct: true`` with 0 failed operations.
+Each seed of ``SEEDS`` runs ``python3 bench/run.py --workload W --seed s
+--seconds S`` in a fresh process, with ``S`` the ``run_seconds`` that
+``BENCHMARK.json`` fixes.  A file holds each end-to-end metric of
+``BENCHMARK.json`` with its per-seed values and their median, the same for
+``host_slowdown`` and ``op_p50_wall_ms`` from the report above the last line,
+and the provenance of the runs.  No file is written unless every run exited 0
+and its last line reads ``correct: true`` with 0 failed operations.
 
 ``--diff`` prints, per metric, the ratio of the new median to the old one
 beside the bound ``BENCHMARK.json`` fixes for it, and exits 1 when a metric
-is worse than the old one by more than its bound.  The time metrics are
-scaled by each run's own calibration, which can read differently for two
-commits on one host; read the ``op_p50_wall_ms`` and ``host_slowdown``
-ratios beside the scaled ones, and compare only files made on one host.
+is worse than the old one by more than its bound.  It refuses, with exit 2,
+two files whose workload, seeds, seconds, Python or platform differ.  The
+time metrics are scaled by each run's own calibration, which can read
+differently for two commits on one host; read the ``op_p50_wall_ms`` and
+``host_slowdown`` ratios beside the scaled ones.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
 REPORTED = {"host_slowdown": "ratio", "op_p50_wall_ms": "ms"}  # report lines, not the last
+MATCHING = ("workload", "seeds", "seconds", "python", "platform")  # provenance --diff compares
 
 
 def run_seed(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -61,13 +64,7 @@ def run_seed(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
 
 
 def summary(values: list, unit: str) -> dict:
-    present = [v for v in values if v is not None]
-    return {"unit": unit, "values": values,
-            "median": statistics.median(present) if present else None}
-
-
-def shown(value) -> str:
-    return "n/a" if value is None else f"{value:.6g}"
+    return {"unit": unit, "values": values, "median": statistics.median(values)}
 
 
 def git(*args: str) -> str:
@@ -75,17 +72,18 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def bench_file(spec: dict, workload: str, seeds: list[int], seconds: float) -> dict:
+def bench_file(spec: dict, workload: str) -> dict:
+    seconds = float(spec["run_seconds"])
     provenance = {
         "commit": git("rev-parse", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "platform": platform.platform(),
         "workload": workload,
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "seconds": seconds,
     }
-    runs = [run_seed(workload, seed, seconds) for seed in seeds]
+    runs = [run_seed(workload, seed, seconds) for seed in SEEDS]
     metrics = {}
     for m in spec["end_to_end"]:
         values = [last["metrics"][m["name"]]["value"] for last, _ in runs]
@@ -97,21 +95,25 @@ def bench_file(spec: dict, workload: str, seeds: list[int], seconds: float) -> d
 
 
 def diff(old_path: str, new_path: str) -> int:
-    """Print each median's ratio new/old; 1 when one is worse beyond its bound."""
+    """Print each median's ratio new/old; 1 when one is worse beyond its bound,
+    2 when the two files' runs do not match."""
     old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
+    differ = [k for k in MATCHING if old["provenance"][k] != new["provenance"][k]]
+    if differ:
+        print(f"{old_path} and {new_path} differ in {', '.join(differ)}; not compared",
+              file=sys.stderr)
+        return 2
     print(f"{'metric':<18} {'old':>12} {'new':>12} {'new/old':>8} {'bound':>6}")
     status = 0
     for section in ("metrics", "reported"):
         for name, entry in new[section].items():
             before, after = old[section][name]["median"], entry["median"]
-            bound, ratio, verdict = entry.get("bound"), None, ""
-            if before and after is not None:
-                ratio = after / before
-                if bound is not None:
-                    worse = ratio - 1 if entry["better"] == "lower" else 1 - ratio
-                    verdict = "WORSE" if worse > bound else "ok"
+            bound, ratio, verdict = entry.get("bound"), after / before, ""
+            if bound is not None:
+                worse = ratio - 1 if entry["better"] == "lower" else 1 - ratio
+                verdict = "WORSE" if worse > bound else "ok"
             status |= verdict == "WORSE"
-            print(f"{name:<18} {shown(before):>12} {shown(after):>12} {shown(ratio):>8} "
+            print(f"{name:<18} {before:>12.6g} {after:>12.6g} {ratio:>8.6g} "
                   f"{'' if bound is None else bound:>6} {verdict}")
     return status
 
@@ -121,8 +123,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workloads", nargs="*", metavar="workload",
                         help=f"one of {', '.join(w['name'] for w in spec['workloads'])}")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
     parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     if args.diff:
@@ -131,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     if unknown or not args.workloads:
         parser.error(f"unknown workloads {sorted(unknown)}" if unknown
                      else "name a workload, or give --diff OLD NEW")
-    files = {w: bench_file(spec, w, args.seeds, args.seconds) for w in args.workloads}
+    files = {w: bench_file(spec, w) for w in args.workloads}
     for workload, content in files.items():  # only once every run has passed
         path = ROOT / f"BENCH_{workload}.json"
         path.write_text(json.dumps(content, indent=1) + "\n")
