@@ -61,9 +61,15 @@ class Hypergraph:
         n = self.n
         if type(n) is not int or n < 0:
             raise InvalidInput(f"vertex count must be a non-negative int, got {n!r}")
-        vertices = tuple(map(tuple, self.vertices))
-        # float() returns a float as it is, so shared weights stay shared
-        weights = tuple(map(float, self.weights))
+        try:
+            vertices = tuple(map(tuple, self.vertices))
+        except TypeError as exc:
+            raise InvalidInput(f"vertices must be iterables of vertex ids: {exc}") from None
+        try:
+            # float() returns a float as it is, so shared weights stay shared
+            weights = tuple(map(float, self.weights))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"weights must be numbers: {exc}") from None
         if len(vertices) != len(weights):
             raise InvalidInput(
                 f"{len(vertices)} vertex tuples but {len(weights)} weights"

@@ -361,8 +361,13 @@ def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> Stream:
 
 
 def check_seed(seed: int) -> int:
-    """``seed``, refused when negative: ``random.Random`` seeds an int by its
+    """``seed`` read through ``operator.index``, as the generator reads its
+    counts, and refused when negative: ``random.Random`` seeds an int by its
     absolute value, so ``-7`` would draw exactly what ``7`` draws."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidInput(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise InvalidInput(f"seed must be non-negative, got {seed}")
     return seed

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -15,7 +16,13 @@ import pytest
 from hypermatch import cli
 from hypermatch.cli import CSV_COLUMNS, main
 from hypermatch.core import InvalidInput
-from hypermatch.ingest import StreamOrder, WeightScheme, gen_random_hypergraph, serialize_hmetis
+from hypermatch.ingest import (
+    StreamOrder,
+    WeightScheme,
+    gen_random_hypergraph,
+    parse_hmetis,
+    serialize_hmetis,
+)
 from hypermatch.swap_matcher import optimal_alpha
 
 TWO_EDGE_FILE = "2 3 1\n1 1 2\n3 2 3\n"
@@ -39,6 +46,13 @@ DECIMAL_FILE = (
 # runtime_ns removed.  Any change to a matching, a counter, a certificate or
 # a label changes it.
 GOLDEN_GRID_SHA256 = "e891b788e3fefca15d0ac85b7795051aa95004d35d3af676ce2782258e16f331"
+
+
+@functools.cache
+def generated_text(n: int) -> str:
+    """The generator's 20000-edge instance on ``n`` vertices (seed 1) as
+    hMetis text of several 64 KiB chunks."""
+    return serialize_hmetis(gen_random_hypergraph(n, 20000, 4, 100, 1))
 
 
 def run_cli(argv: list[str], capsys) -> tuple[int, str, str]:
@@ -262,6 +276,51 @@ def test_run_equals_a_one_cell_grid(capsys) -> None:
             assert rows[0] == rows[1]
 
 
+@pytest.mark.parametrize(
+    "n,head,line_end,certified",
+    [
+        pytest.param(500, "", "\n", [42850.0, 471, 45596.0, True], id="lf"),
+        pytest.param(2000, "% generated, CRLF line ends\r\n", "\r\n",
+                     [116003.0, 1490, 151426.0, True], id="crlf"),
+    ],
+)
+def test_a_generated_file_runs_as_its_generator(tmp_path, capsys, n, head, line_end,
+                                                certified) -> None:
+    text = head + generated_text(n).replace("\n", line_end)
+    assert len(text) > 65536
+    # equal weights share one float, whatever the line ends
+    assert len(set(map(id, parse_hmetis(text).weights))) <= 100
+    path = tmp_path / "generated.hgr"
+    path.write_text(text, newline="")
+    keys = ("matching_weight", "cardinality", "dual_upper_bound", "dual_feasible")
+    for source in (["--input", str(path)], ["--gen", f"{n},20000,4,100", "--seed", "1"]):
+        code, out, _ = run_cli(
+            ["run", *source, "--algorithm", "stack", "--certify", "--format", "json"], capsys)
+        assert code == 0
+        (record,) = json.loads(out)
+        assert [record[key] for key in keys] == certified
+
+
+def test_swapset_keeps_far_more_than_naive_at_1e5_edges(capsys) -> None:
+    # The paper's claim at scale: ascending is naive's adverse order, where
+    # it keeps 40% of what swapset keeps; one grid draws the instance once.
+    code, out, _ = run_cli(
+        ["grid", "--gen", "20000,100000,8,100", "--seed", "1",
+         "--algorithm", "naive", "--algorithm", "swapset",
+         "--order", "original", "--order", "ascending", "--order", "random",
+         "--format", "json"], capsys)
+    assert code == 0
+    assert {(r["algorithm"], r["order"]): (r["matching_weight"], r["cardinality"], r["swaps"])
+            for r in json.loads(out)} == {
+        ("naive", "original"): (385594.0, 7682, 0),
+        ("naive", "ascending"): (219486.0, 7694, 0),
+        ("naive", "random"): (390159.0, 7769, 0),
+        ("swapset", "original"): (504886.0, 7884, 2220),
+        ("swapset", "ascending"): (545043.0, 9057, 8853),
+        ("swapset", "random"): (506842.0, 7973, 2116),
+    }
+
+
 def test_grid_records_match_golden_digest(tmp_path, monkeypatch) -> None:
     monkeypatch.chdir(tmp_path)
     Path("decimal.hgr").write_text(DECIMAL_FILE, newline="")
@@ -478,12 +537,16 @@ def test_oracle_rejects_a_negative_edge_cap(capsys) -> None:
 
 def test_parse_error_exits_2(tmp_path, capsys) -> None:
     bad = tmp_path / "bad.hgr"
-    bad.write_text("2 3 1\n0 1 2\n7 2 3\n")
-    code, _, err = run_cli(["run", "--input", str(bad), "--algorithm", "naive"], capsys)
-    assert code == 2
-    message = json.loads(err)
-    assert message["error"] == "parse_error"
-    assert "line 2" in message["message"]
+    for text, message in (
+        ("2 3 1\n0 1 2\n7 2 3\n", "line 2: edge weight must be positive, got 0"),
+        # past one chunk, with a comment and a blank line among the lines counted
+        (generated_text(2000) + "% trailing comment\n\n1 2\n",
+         "line 20004: header declares 20000 edges but 20001 edge lines found"),
+    ):
+        bad.write_text(text)
+        code, out, err = run_cli(["run", "--input", str(bad), "--algorithm", "naive"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "parse_error", "message": message}
 
 
 def test_undecodable_file_is_a_parse_error(tmp_path, capsys) -> None:
@@ -698,10 +761,11 @@ def test_bad_flags_are_reported_as_json(capsys) -> None:
         message = json.loads(err)
         assert message["error"] == "usage"
         assert flag in message["message"]
-    code, out, err = run_cli(["run", "--help"], capsys)
-    assert code == 0
-    assert out.startswith("usage: hypermatch run")
-    assert err == ""
+    for command in ("run", "grid", "oracle"):
+        code, out, err = run_cli([command, "--help"], capsys)
+        assert code == 0
+        assert out.startswith(f"usage: hypermatch {command}")
+        assert err == ""
 
 
 def test_run_and_oracle_refuse_repeated_flags(tmp_path, capsys) -> None:

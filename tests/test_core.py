@@ -63,6 +63,9 @@ def test_hypergraph_rejects_vertex_out_of_range() -> None:
         (((0,),), (math.nan,)),
         (((0, 1.5),), (1.0,)),  # not an int
         (((True,),), (1.0,)),  # bool
+        (((0,),), (None,)),  # a weight float() refuses
+        (((0,),), ("abc",)),
+        (5, (1.0,)),  # vertices not iterable
     ],
 )
 def test_hypergraph_rejects_bad_arrays(vertices, weights) -> None:

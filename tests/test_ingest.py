@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from hypermatch import ingest
-from hypermatch.core import Hypergraph, InvalidInput
+from hypermatch.core import Hypergraph, InvalidInput, Stream
 from hypermatch.ingest import (
     ParseError,
     StreamOrder,
@@ -416,7 +416,9 @@ def test_order_random_is_random_shuffle(seed: int) -> None:
 def test_order_always_a_permutation() -> None:
     for hg in random_instances(40, meta_seed=103):
         for order in StreamOrder:
-            assert sorted(order_stream(hg, order, seed=5)) == list(range(hg.m))
+            stream = order_stream(hg, order, seed=5)
+            assert type(stream) is Stream
+            assert sorted(stream) == list(range(hg.m))
 
 
 def test_reversed_ascending_equals_descending_iff_distinct() -> None:
@@ -477,8 +479,10 @@ def test_gen_calls_no_randint_or_sample(monkeypatch) -> None:
 
 def test_gen_takes_any_integer_type() -> None:
     np = pytest.importorskip("numpy")
-    hg = gen_random_hypergraph(30, 40, np.int64(5), np.int64(2 ** 40), 1)
+    hg = gen_random_hypergraph(30, 40, np.int64(5), np.int64(2 ** 40), np.int64(1))
     assert (list(hg.vertices), list(hg.weights)) == random_edges(30, 40, 5, 2 ** 40, 1)
+    assert list(order_stream(hg, StreamOrder.RANDOM, np.int64(1))) == list(
+        order_stream(hg, StreamOrder.RANDOM, 1))
     with pytest.raises(InvalidInput):  # a Hypergraph's vertex count is a plain int
         gen_random_hypergraph(np.int64(30), 40, 5, 100, 1)
 
@@ -510,6 +514,13 @@ def test_a_negative_seed_is_refused() -> None:
     hg = gen_random_hypergraph(50, 200, 3, 10, seed=7)
     with pytest.raises(InvalidInput, match="seed must be non-negative, got -7"):
         order_stream(hg, StreamOrder.RANDOM, -7)
+    # read as the counts are read, through __index__: random.Random would
+    # seed 2.5 by its hash
+    for seed in (2.5, "1", None):
+        with pytest.raises(InvalidInput, match="seed must be an integer"):
+            gen_random_hypergraph(50, 200, 3, 10, seed=seed)
+        with pytest.raises(InvalidInput, match="seed must be an integer"):
+            order_stream(hg, StreamOrder.RANDOM, seed)
 
 
 # A leading comment long enough for the spelling table to cover the ids of

@@ -5,7 +5,15 @@ import math
 
 import pytest
 
-from hypermatch.core import Hypergraph, InvalidInput, Matching, first_fit, validate_matching
+from hypermatch.baselines import run_greedy, run_naive
+from hypermatch.core import (
+    Hypergraph,
+    InvalidInput,
+    Matching,
+    RunMetrics,
+    first_fit,
+    validate_matching,
+)
 from hypermatch.ingest import StreamOrder, order_stream
 from hypermatch.oracle import exact_max_weight_matching
 from hypermatch.stack_matcher import (
@@ -15,6 +23,7 @@ from hypermatch.stack_matcher import (
     dual_upper_bound,
     run_stack_stream,
 )
+from hypermatch.swap_matcher import run_swapset
 
 from conftest import (
     NEAR_THRESHOLD_BASES,
@@ -105,15 +114,20 @@ def test_run_epsilon_blocks_marginal_improvements() -> None:
 
 
 def test_run_empty_hypergraph() -> None:
-    hg = Hypergraph(4, (), ())
-    matching, dual, metrics = run_stack_stream(hg, [], 0.5, UpdateRule.GUARANTEE)
-    assert matching.edge_ids == frozenset()
-    assert matching.weight == 0.0
-    assert dual.potentials == [0.0] * 4
-    assert metrics.pushes == 0
-    assert metrics.vertex_push_max == 0
-    assert dual_upper_bound(dual) == 0.0
-    assert dual_feasible(hg, dual)
+    # every counter of every kernel reads 0, with no vertex too, where the
+    # most pushes onto one vertex is the maximum of no counts
+    for n in (4, 0):
+        hg = Hypergraph(n, (), ())
+        runs = [run_naive(hg, []), run_greedy(hg), run_swapset(hg, [], 0.5)]
+        for rule in UpdateRule:
+            matching, dual, metrics = run_stack_stream(hg, [], 0.5, rule)
+            assert dual.potentials == [0.0] * n
+            assert dual_upper_bound(dual) == 0.0
+            assert dual_feasible(hg, dual)
+            runs.append((matching, metrics))
+        for matching, metrics in runs:
+            assert matching == Matching(frozenset(), 0.0)
+            assert dataclasses.replace(metrics, runtime_ns=0) == RunMetrics()
 
 
 def test_run_rejects_bad_stream() -> None:
