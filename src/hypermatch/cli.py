@@ -25,13 +25,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Optional, TextIO, Union
 
-from .core import Hypergraph, InvalidInput, RunMetrics, Stream
+from .core import Hypergraph, InvalidInput, RunMetrics, Stream, _Frozen
 from .ingest import (
     ParseError,
     StreamOrder,
@@ -69,35 +68,34 @@ BROKEN_PIPE_EXIT = 141
 Source = Union[str, tuple[int, int, int, int]]
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(_Frozen):
     """One benchmark cell: an instance source, which is an hMetis file path
     or the generator's (n, m, d_max, w_max), plus algorithm configuration.
     Construction validates it and sets the algorithm's own knob to its
-    default when unset; a knob the algorithm lacks stays None."""
+    default when unset; a knob the algorithm lacks stays None.  ``alpha``
+    is a float or the string "auto"."""
 
-    source: Source
-    weights: WeightScheme = WeightScheme.FROM_FILE
-    algorithm: str = "naive"
-    epsilon: Optional[float] = None
-    alpha: Union[float, str, None] = None  # a float or the string "auto"
-    order: StreamOrder = StreamOrder.ORIGINAL
-    seed: int = 0
-    certify: bool = False
-    emit_matching: bool = False
-    repeat: int = 0
+    def __init__(self, source: Source, weights: WeightScheme = WeightScheme.FROM_FILE,
+                 algorithm: str = "naive", epsilon: Optional[float] = None,
+                 alpha: Union[float, str, None] = None,
+                 order: StreamOrder = StreamOrder.ORIGINAL, seed: int = 0,
+                 certify: bool = False, emit_matching: bool = False, repeat: int = 0) -> None:
+        _check_source(source)
+        checked = {"weights": weights, "order": order, "seed": seed, "repeat": repeat,
+                   "certify": certify, "emit_matching": emit_matching}
+        for name, value in checked.items():
+            _check_field(name, value)
+        vars(self).update(source=source, algorithm=algorithm, **checked,
+                          **_knobs(algorithm, epsilon, alpha))
+
+    @property
+    def _key(self) -> frozenset:
+        return frozenset(vars(self).items())
 
     def instance_label(self) -> str:
         if isinstance(self.source, tuple):
             return "gen:" + ",".join(map(str, self.source))
         return str(self.source)
-
-    def __post_init__(self) -> None:
-        _check_source(self.source)
-        for name in FIELD_TYPES:
-            _check_field(name, getattr(self, name))
-        for knob, value in _knobs(self.algorithm, self.epsilon, self.alpha).items():
-            object.__setattr__(self, knob, value)
 
     @classmethod
     def _of_checked(cls, **values) -> "RunSpec":
@@ -153,38 +151,63 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass
+# The record schema: ResultRecord's fields, in CSV column order.
+CSV_COLUMNS = (
+    "instance", "algorithm", "weights", "order", "seed", "repeat", "epsilon", "alpha",
+    "resolved_alpha", "n", "m", "d", "total_pins", "matching_weight", "cardinality",
+    "pushes", "pops", "swaps", "vertex_push_max", "peak_stack_edges", "peak_stack_pins",
+    "logical_memory", "runtime_ns", "dual_upper_bound", "dual_feasible", "oracle_weight",
+    "matching_edges", "error",
+)
+_column_values = attrgetter(*CSV_COLUMNS)
+
+
 class ResultRecord:
     """Flat result row; fields that do not apply stay None."""
 
-    instance: str
-    algorithm: str
-    weights: str
-    order: str
-    seed: int
-    repeat: int
-    epsilon: Optional[float] = None
-    alpha: Optional[str] = None
-    resolved_alpha: Optional[float] = None
-    n: Optional[int] = None
-    m: Optional[int] = None
-    d: Optional[int] = None
-    total_pins: Optional[int] = None
-    matching_weight: Optional[float] = None
-    cardinality: Optional[int] = None
-    pushes: Optional[int] = None
-    pops: Optional[int] = None
-    swaps: Optional[int] = None
-    vertex_push_max: Optional[int] = None
-    peak_stack_edges: Optional[int] = None
-    peak_stack_pins: Optional[int] = None
-    logical_memory: Optional[int] = None
-    runtime_ns: Optional[int] = None
-    dual_upper_bound: Optional[float] = None
-    dual_feasible: Optional[bool] = None
-    oracle_weight: Optional[float] = None
-    matching_edges: Optional[str] = None
-    error: Optional[str] = None
+    def __init__(self, instance: str, algorithm: str, weights: str, order: str, seed: int,
+                 repeat: int, epsilon: Optional[float] = None, alpha: Optional[str] = None,
+                 resolved_alpha: Optional[float] = None, n: Optional[int] = None,
+                 m: Optional[int] = None, d: Optional[int] = None,
+                 total_pins: Optional[int] = None, matching_weight: Optional[float] = None,
+                 cardinality: Optional[int] = None, pushes: Optional[int] = None,
+                 pops: Optional[int] = None, swaps: Optional[int] = None,
+                 vertex_push_max: Optional[int] = None,
+                 peak_stack_edges: Optional[int] = None,
+                 peak_stack_pins: Optional[int] = None,
+                 logical_memory: Optional[int] = None, runtime_ns: Optional[int] = None,
+                 dual_upper_bound: Optional[float] = None,
+                 dual_feasible: Optional[bool] = None,
+                 oracle_weight: Optional[float] = None,
+                 matching_edges: Optional[str] = None, error: Optional[str] = None) -> None:
+        self.instance = instance
+        self.algorithm = algorithm
+        self.weights = weights
+        self.order = order
+        self.seed = seed
+        self.repeat = repeat
+        self.epsilon = epsilon
+        self.alpha = alpha
+        self.resolved_alpha = resolved_alpha
+        self.n = n
+        self.m = m
+        self.d = d
+        self.total_pins = total_pins
+        self.matching_weight = matching_weight
+        self.cardinality = cardinality
+        self.pushes = pushes
+        self.pops = pops
+        self.swaps = swaps
+        self.vertex_push_max = vertex_push_max
+        self.peak_stack_edges = peak_stack_edges
+        self.peak_stack_pins = peak_stack_pins
+        self.logical_memory = logical_memory
+        self.runtime_ns = runtime_ns
+        self.dual_upper_bound = dual_upper_bound
+        self.dual_feasible = dual_feasible
+        self.oracle_weight = oracle_weight
+        self.matching_edges = matching_edges
+        self.error = error
 
     @classmethod
     def for_spec(cls, spec: RunSpec, hg: Optional[Hypergraph] = None, **values) -> "ResultRecord":
@@ -206,10 +229,6 @@ class ResultRecord:
         return ["" if value is None else "true" if value is True
                 else "false" if value is False else str(value)
                 for value in _column_values(self)]
-
-
-CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))
-_column_values = attrgetter(*CSV_COLUMNS)
 
 
 def _json_value(value):
@@ -240,12 +259,12 @@ def logical_memory(algorithm: str, hg: Hypergraph, metrics: RunMetrics) -> int:
     return hg.total_pins if algorithm == "greedy" else metrics.peak_stack_pins + hg.n
 
 
-@dataclass
 class _LoadedInstance:
     """A loaded instance, shared by every cell that runs on it."""
 
-    hg: Hypergraph
-    streams: dict = field(default_factory=dict)
+    def __init__(self, hg: Hypergraph) -> None:
+        self.hg = hg
+        self.streams: dict = {}
 
     def stream(self, order: StreamOrder, seed: int) -> Stream:
         """The edge ids in ``order``, as the cached :class:`Stream`.

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import time
 from array import array
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 
@@ -36,8 +36,25 @@ class InvalidInput(ValueError):
     """An argument violated a documented precondition."""
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class _Frozen:
+    """A value type: equal and hashed by its ``_key``, and read-only once its
+    constructor has filled ``vars(self)``."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+class Hypergraph(_Frozen):
     """An edge-weighted hypergraph over vertices ``0..n-1``, stored per edge.
 
     Edge ``i`` covers ``vertices[i]``, a strictly ascending tuple of vertex
@@ -46,7 +63,8 @@ class Hypergraph:
     size (0 when there are no edges) and ``total_pins`` the total number of
     vertex slots across all edges.  The total edge weight must be finite,
     so no matching weight can overflow; ``n`` and vertex ids are ``int``,
-    never ``bool``.  The constructor is the package's one edge validator:
+    never ``bool``, and a weight is a number, never text or a ``bool``.
+    The constructor is the package's one edge validator:
     the parser only adds line numbers, and :meth:`build` accepts unsorted
     vertex lists.
     """
@@ -54,28 +72,34 @@ class Hypergraph:
     n: int
     vertices: tuple[tuple[int, ...], ...]
     weights: tuple[float, ...]
-    d: int = field(init=False)
-    total_pins: int = field(init=False)
+    d: int
+    total_pins: int
 
-    def __post_init__(self) -> None:
-        n = self.n
+    _key = property(attrgetter("n", "vertices", "weights"))
+
+    def __init__(self, n: int, vertices: Iterable[Iterable[int]], weights: Iterable[float]) -> None:
         if type(n) is not int or n < 0:
             raise InvalidInput(f"vertex count must be a non-negative int, got {n!r}")
         try:
-            vertices = tuple(map(tuple, self.vertices))
+            vertices = tuple(map(tuple, vertices))
         except TypeError as exc:
             raise InvalidInput(f"vertices must be iterables of vertex ids: {exc}") from None
         try:
-            # float() returns a float as it is, so shared weights stay shared
-            weights = tuple(map(float, self.weights))
+            weights = tuple(weights)
+            kinds = set(map(type, weights))
+            # float() reads text and bools too; each kind is tested once, not each weight
+            for kind in kinds:
+                if issubclass(kind, (str, bytes, bytearray, bool)):
+                    raise TypeError(f"a {kind.__name__} is not a weight")
+            # floats are kept as they are, so shared weights stay shared
+            if kinds - {float}:
+                weights = tuple(map(float, weights))
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"weights must be numbers: {exc}") from None
         if len(vertices) != len(weights):
             raise InvalidInput(
                 f"{len(vertices)} vertex tuples but {len(weights)} weights"
             )
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "weights", weights)
         total_weight = 0.0
         for eid, verts in enumerate(vertices):
             if not verts:
@@ -99,8 +123,9 @@ class Hypergraph:
             total_weight += w
         if not math.isfinite(total_weight):
             raise InvalidInput("the total edge weight overflows a 64-bit float")
-        object.__setattr__(self, "d", max(map(len, vertices), default=0))
-        object.__setattr__(self, "total_pins", sum(map(len, vertices)))
+        vars(self).update(n=n, vertices=vertices, weights=weights,
+                          d=max(map(len, vertices), default=0),
+                          total_pins=sum(map(len, vertices)))
 
     @property
     def m(self) -> int:
@@ -120,8 +145,7 @@ class Hypergraph:
         return cls(n, vertices, weights)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Frozen):
     """A set of edge ids and its cached total weight.
 
     Construct through :meth:`from_edge_ids` for a consistent instance; the
@@ -131,6 +155,11 @@ class Matching:
 
     edge_ids: frozenset[int]
     weight: float
+
+    _key = property(attrgetter("edge_ids", "weight"))
+
+    def __init__(self, edge_ids: frozenset[int], weight: float) -> None:
+        vars(self).update(edge_ids=edge_ids, weight=weight)
 
     @property
     def cardinality(self) -> int:
@@ -272,7 +301,6 @@ def validate_matching(hg: Hypergraph, matching: Matching) -> bool:
     return abs(recomputed - matching.weight) <= tol
 
 
-@dataclass
 class RunMetrics:
     """Counters reported by every algorithm run.
 
@@ -283,15 +311,24 @@ class RunMetrics:
     the one field exempt from determinism guarantees.
     """
 
-    matching_weight: float = 0.0
-    cardinality: int = 0
-    peak_stack_edges: int = 0
-    peak_stack_pins: int = 0
-    pushes: int = 0
-    pops: int = 0
-    swaps: int = 0
-    vertex_push_max: int = 0
-    runtime_ns: int = 0
+    def __init__(self, matching_weight: float = 0.0, cardinality: int = 0,
+                 peak_stack_edges: int = 0, peak_stack_pins: int = 0, pushes: int = 0,
+                 pops: int = 0, swaps: int = 0, vertex_push_max: int = 0,
+                 runtime_ns: int = 0) -> None:
+        self.matching_weight = matching_weight
+        self.cardinality = cardinality
+        self.peak_stack_edges = peak_stack_edges
+        self.peak_stack_pins = peak_stack_pins
+        self.pushes = pushes
+        self.pops = pops
+        self.swaps = swaps
+        self.vertex_push_max = vertex_push_max
+        self.runtime_ns = runtime_ns
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def finish_run(hg: Hypergraph, chosen: Iterable[int], start: int) -> tuple[Matching, RunMetrics]:

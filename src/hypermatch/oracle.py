@@ -29,17 +29,16 @@ to handle large inputs here.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from operator import attrgetter
 
-from .core import Hypergraph, InvalidInput, Matching
+from .core import Hypergraph, InvalidInput, Matching, _Frozen
 
 
 class TooLarge(RuntimeError):
     """Instance exceeds the oracle's configured limits."""
 
 
-@dataclass(frozen=True)
-class OracleLimits:
+class OracleLimits(_Frozen):
     """Hard caps for the exact solvers.
 
     ``max_edges`` bounds the search space up front; ``max_nodes_expanded``
@@ -53,19 +52,24 @@ class OracleLimits:
     a negative ``max_edges`` or a ``max_nodes_expanded`` below 1.
     """
 
+    # the defaults, read as class attributes too
     max_edges: int = 24
     max_nodes_expanded: int = 1 << 25
 
-    def __post_init__(self) -> None:
-        for name, value in (("max_edges", self.max_edges),
-                            ("max_nodes_expanded", self.max_nodes_expanded)):
+    _key = property(attrgetter("max_edges", "max_nodes_expanded"))
+
+    def __init__(self, max_edges: int = max_edges,
+                 max_nodes_expanded: int = max_nodes_expanded) -> None:
+        for name, value in (("max_edges", max_edges),
+                            ("max_nodes_expanded", max_nodes_expanded)):
             if type(value) is not int:  # a bool is an int subclass
                 raise InvalidInput(f"{name} must be an int, got {value!r}")
-        if self.max_edges < 0:
-            raise InvalidInput(f"max_edges must be non-negative, got {self.max_edges}")
-        if self.max_nodes_expanded < 1:
+        if max_edges < 0:
+            raise InvalidInput(f"max_edges must be non-negative, got {max_edges}")
+        if max_nodes_expanded < 1:
             raise InvalidInput(
-                f"max_nodes_expanded must be at least 1, got {self.max_nodes_expanded}")
+                f"max_nodes_expanded must be at least 1, got {max_nodes_expanded}")
+        vars(self).update(max_edges=max_edges, max_nodes_expanded=max_nodes_expanded)
 
 
 def exact_max_weight_matching(hg: Hypergraph, limits: OracleLimits | None = None) -> Matching:

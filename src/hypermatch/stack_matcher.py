@@ -34,7 +34,6 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Hypergraph, InvalidInput, Matching, RunMetrics, check_stream, finish_run, first_fit
@@ -45,12 +44,12 @@ class UpdateRule(enum.Enum):
     LENIENT = "lenient"
 
 
-@dataclass
 class DualState:
     """Per-vertex potentials plus the admission slack epsilon."""
 
-    potentials: list[float]
-    epsilon: float
+    def __init__(self, potentials: list[float], epsilon: float) -> None:
+        self.potentials = potentials
+        self.epsilon = epsilon
 
     @classmethod
     def zeros(cls, n: int, epsilon: float) -> "DualState":

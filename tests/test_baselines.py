@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from hypermatch.core import Hypergraph, InvalidInput, validate_matching
@@ -94,6 +92,4 @@ def test_naive_reads_any_iterable_stream_once() -> None:
         for form in stream_forms(stream):
             form_matching, form_metrics = run_naive(hg, form)
             assert form_matching == matching
-            assert dataclasses.replace(form_metrics, runtime_ns=0) == dataclasses.replace(
-                metrics, runtime_ns=0
-            )
+            assert {**vars(form_metrics), "runtime_ns": 0} == {**vars(metrics), "runtime_ns": 0}

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +82,24 @@ def test_hypergraph_rejects_negative_n() -> None:
 def test_hypergraph_rejects_non_int_n(n) -> None:
     with pytest.raises(InvalidInput):
         Hypergraph(n, [(0,)], [1.0])
+
+
+@pytest.mark.parametrize("weight", ["1.5", b"2", bytearray(b"2"), True, False])
+def test_hypergraph_rejects_text_and_bool_weights(weight) -> None:
+    # float() reads each of these, which once let them in as 1.5, 2.0, 1.0 and 0.0
+    with pytest.raises(InvalidInput, match="weights must be numbers"):
+        Hypergraph(2, [(0,), (1,)], [1.0, weight])
+
+
+def test_hypergraph_stores_numbers_as_floats() -> None:
+    class Weight(float):
+        pass
+
+    shared = 2.5
+    hg = Hypergraph(4, [(0,), (1,), (2,), (3,)], iter([3, Fraction(1, 2), Weight(1.5), shared]))
+    assert hg.weights == (3.0, 0.5, 1.5, 2.5)
+    assert {type(w) for w in hg.weights} == {float}
+    assert Hypergraph(2, [(0,), (1,)], [shared, shared]).weights[1] is shared
 
 
 def test_hypergraph_rejects_overflowing_total_weight() -> None:
@@ -242,7 +260,7 @@ def test_kernels_read_a_stream_as_its_list() -> None:
         for rule in UpdateRule:
             matching, dual, metrics = run_stack_stream(hg, stream, 0.1, rule)
             runs.append((matching, dual.potentials, metrics))
-        return [(*run[:-1], dataclasses.replace(run[-1], runtime_ns=0)) for run in runs]
+        return [(*run[:-1], {**vars(run[-1]), "runtime_ns": 0}) for run in runs]
 
     for hg in random_instances(40, meta_seed=109):
         for order in StreamOrder:

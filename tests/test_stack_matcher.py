@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -127,7 +126,7 @@ def test_run_empty_hypergraph() -> None:
             runs.append((matching, metrics))
         for matching, metrics in runs:
             assert matching == Matching(frozenset(), 0.0)
-            assert dataclasses.replace(metrics, runtime_ns=0) == RunMetrics()
+            assert {**vars(metrics), "runtime_ns": 0} == vars(RunMetrics())
 
 
 def test_run_rejects_bad_stream() -> None:
@@ -262,9 +261,7 @@ def test_runs_are_deterministic() -> None:
         for matching, dual, metrics in results[1:]:
             assert matching == results[0][0]
             assert dual.potentials == results[0][1].potentials
-            assert dataclasses.replace(metrics, runtime_ns=0) == dataclasses.replace(
-                results[0][2], runtime_ns=0
-            )
+            assert {**vars(metrics), "runtime_ns": 0} == {**vars(results[0][2]), "runtime_ns": 0}
 
 
 def test_run_reads_any_iterable_stream_once() -> None:
@@ -277,9 +274,7 @@ def test_run_reads_any_iterable_stream_once() -> None:
             )
             assert form_matching == matching
             assert form_dual.potentials == dual.potentials
-            assert dataclasses.replace(form_metrics, runtime_ns=0) == dataclasses.replace(
-                metrics, runtime_ns=0
-            )
+            assert {**vars(form_metrics), "runtime_ns": 0} == {**vars(metrics), "runtime_ns": 0}
 
 
 def reference_stack_run(

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -181,9 +180,7 @@ def test_runs_are_deterministic() -> None:
         results = [run_swapset(hg, stream, 0.7) for _ in range(3)]
         for matching, metrics in results[1:]:
             assert matching == results[0][0]
-            assert dataclasses.replace(metrics, runtime_ns=0) == dataclasses.replace(
-                results[0][1], runtime_ns=0
-            )
+            assert {**vars(metrics), "runtime_ns": 0} == {**vars(results[0][1]), "runtime_ns": 0}
 
 
 def test_run_reads_any_iterable_stream_once() -> None:
@@ -193,9 +190,7 @@ def test_run_reads_any_iterable_stream_once() -> None:
         for form in stream_forms(stream):
             form_matching, form_metrics = run_swapset(hg, form, 0.3)
             assert form_matching == matching
-            assert dataclasses.replace(form_metrics, runtime_ns=0) == dataclasses.replace(
-                metrics, runtime_ns=0
-            )
+            assert {**vars(form_metrics), "runtime_ns": 0} == {**vars(metrics), "runtime_ns": 0}
 
 
 def test_optimal_alpha_values() -> None:
