@@ -160,6 +160,7 @@ CSV_COLUMNS = (
     "matching_edges", "error",
 )
 _column_values = attrgetter(*CSV_COLUMNS)
+_DUAL_FEASIBLE = CSV_COLUMNS.index("dual_feasible")
 
 
 class ResultRecord:
@@ -210,12 +211,13 @@ class ResultRecord:
         self.error = error
 
     @classmethod
-    def for_spec(cls, spec: RunSpec, hg: Optional[Hypergraph] = None, **values) -> "ResultRecord":
-        """A record labelled with the spec's configuration and, given ``hg``,
-        the instance's shape, holding ``values`` in the other fields."""
+    def for_spec(cls, spec: RunSpec, hg: Optional[Hypergraph] = None,
+                 algorithm: Optional[str] = None, **values) -> "ResultRecord":
+        """A record labelled with the spec's configuration (``algorithm`` overrides
+        its own) and, given ``hg``, the instance's shape, holding ``values``."""
         if hg is not None:
             values.update(n=hg.n, m=hg.m, d=hg.d, total_pins=hg.total_pins)
-        return cls(spec.instance_label(), spec.algorithm, spec.weights.value,
+        return cls(spec.instance_label(), algorithm or spec.algorithm, spec.weights.value,
                    spec.order.value, spec.seed, spec.repeat, spec.epsilon,
                    None if spec.alpha is None else str(spec.alpha), **values)
 
@@ -224,11 +226,13 @@ class ResultRecord:
         non-finite float is written as its CSV text."""
         return {name: _json_value(getattr(self, name)) for name in CSV_COLUMNS}
 
-    def as_row(self) -> list[str]:
-        # a bool is True or False itself, so identity tests it without isinstance
-        return ["" if value is None else "true" if value is True
-                else "false" if value is False else str(value)
-                for value in _column_values(self)]
+    def as_row(self) -> list:
+        """The values in column order for ``csv.writer``, which writes None as ""
+        and the rest by ``str()``; only the bool ``dual_feasible`` is given as true/false."""
+        row = list(_column_values(self))
+        if self.dual_feasible is not None:
+            row[_DUAL_FEASIBLE] = "true" if self.dual_feasible else "false"
+        return row
 
 
 def _json_value(value):
@@ -260,10 +264,11 @@ def logical_memory(algorithm: str, hg: Hypergraph, metrics: RunMetrics) -> int:
 
 
 class _LoadedInstance:
-    """A loaded instance, shared by every cell that runs on it."""
+    """A spec's instance and its label, loaded once for every cell that runs on it."""
 
-    def __init__(self, hg: Hypergraph) -> None:
-        self.hg = hg
+    def __init__(self, spec: RunSpec) -> None:
+        self.hg = load_instance(spec)
+        self.label = spec.instance_label()
         self.streams: dict = {}
 
     def stream(self, order: StreamOrder, seed: int) -> Stream:
@@ -291,7 +296,7 @@ class _LoadedInstance:
 
 def run(spec: RunSpec) -> ResultRecord:
     """Execute one benchmark cell and return its record."""
-    return _run_cell(spec, _LoadedInstance(load_instance(spec)))
+    return _run_cell(spec, _LoadedInstance(spec))
 
 
 def _run_cell(spec: RunSpec, instance: _LoadedInstance) -> ResultRecord:
@@ -312,18 +317,22 @@ def _run_cell(spec: RunSpec, instance: _LoadedInstance) -> ResultRecord:
         rule = UpdateRule.GUARANTEE if algorithm == "stack" else UpdateRule.LENIENT
         matching, dual, metrics = run_stack_stream(hg, stream, spec.epsilon, rule)
 
-    record = ResultRecord.for_spec(
-        spec, hg, resolved_alpha=resolved_alpha,
-        logical_memory=logical_memory(algorithm, hg, metrics), **vars(metrics),
-    )
+    bound = feasible = oracle_weight = matching_edges = None
     if spec.certify:
         if dual is not None:
-            record.dual_upper_bound = dual_upper_bound(dual)
-            record.dual_feasible = dual_feasible(hg, dual)
-        record.oracle_weight = instance.oracle_weight
+            bound, feasible = dual_upper_bound(dual), dual_feasible(hg, dual)
+        oracle_weight = instance.oracle_weight
     if spec.emit_matching:
-        record.matching_edges = " ".join(map(str, sorted(matching.edge_ids)))
-    return record
+        matching_edges = " ".join(map(str, sorted(matching.edge_ids)))
+    # positional, in CSV_COLUMNS order: a keyword or **dict call costs several times as much
+    m = metrics
+    return ResultRecord(
+        instance.label, algorithm, spec.weights.value, spec.order.value, spec.seed,
+        spec.repeat, spec.epsilon, None if spec.alpha is None else str(spec.alpha), resolved_alpha,
+        hg.n, hg.m, hg.d, hg.total_pins, m.matching_weight, m.cardinality, m.pushes, m.pops,
+        m.swaps, m.vertex_push_max, m.peak_stack_edges, m.peak_stack_pins,
+        logical_memory(algorithm, hg, m), m.runtime_ns, bound, feasible, oracle_weight,
+        matching_edges, None)
 
 
 def grid(specs: Iterable[RunSpec]) -> Iterator[ResultRecord]:
@@ -345,7 +354,7 @@ def grid(specs: Iterable[RunSpec]) -> Iterator[ResultRecord]:
             instance = loaded.get(key)  # None: the last source's instance is not held in a load
             if instance is None:
                 try:
-                    instance = loaded[key] = _LoadedInstance(load_instance(spec))
+                    instance = loaded[key] = _LoadedInstance(spec)
                 except tuple(INPUT_FAILURES) as exc:
                     instance = loaded[key] = _error_text(exc)
             try:
@@ -398,22 +407,15 @@ def expand_grid(
             for source, (algorithm, knobs), order, seed, repeat in cells)
 
 
-def oracle_record(
-    spec: RunSpec, limits: OracleLimits | None = None
-) -> ResultRecord:
+def oracle_record(spec: RunSpec, limits: OracleLimits | None = None) -> ResultRecord:
     """Solve an instance exactly and wrap the result in the record schema."""
     hg = load_instance(spec)
     matching = exact_max_weight_matching(hg, limits)
-    record = ResultRecord.for_spec(
-        spec,
-        hg,
-        matching_weight=matching.weight,
-        cardinality=matching.cardinality,
-        oracle_weight=matching.weight,
+    return ResultRecord.for_spec(
+        spec, hg, algorithm="oracle", matching_weight=matching.weight,
+        cardinality=matching.cardinality, oracle_weight=matching.weight,
         matching_edges=" ".join(map(str, sorted(matching.edge_ids))),
     )
-    record.algorithm = "oracle"
-    return record
 
 
 def emit(records: Iterable[ResultRecord], fmt: str, out: TextIO) -> int:
@@ -558,17 +560,8 @@ def _records(args) -> Iterable[ResultRecord]:
         return [run(spec)]
     if args.repeats < 1:
         raise InvalidInput(f"--repeats must be at least 1, got {args.repeats}")
-    specs = expand_grid(
-        sources=sources,
-        algorithms=args.algorithm,
-        epsilons=epsilons,
-        alphas=alphas,
-        orders=orders,
-        seeds=seeds,
-        repeats=args.repeats,
-        **cell,
-    )
-    return grid(specs)
+    return grid(expand_grid(sources, args.algorithm, epsilons, alphas, orders, seeds,
+                            args.repeats, **cell))
 
 
 def main(argv: Optional[list[str]] = None) -> int:

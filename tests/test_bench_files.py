@@ -88,3 +88,61 @@ def test_diff_flags_a_metric_worse_than_its_bound(checkout, monkeypatch, capsys)
         new.write_text(json.dumps({**written, "provenance": {**written["provenance"], key: value}}))
         assert bench_files.diff(old, new) == 2
         assert capsys.readouterr().err.endswith(f"differ in {key}; not compared\n")
+
+
+def test_provenance_names_the_source_tree_that_ran(checkout, monkeypatch) -> None:
+    calls = []
+
+    def git(*args):
+        calls.append(args)
+        return ""
+
+    monkeypatch.setattr(bench_files, "git", git)
+    monkeypatch.setattr(bench_files, "subprocess", fake_bench({"kernels": True}))
+    monkeypatch.setattr(bench_files, "SEEDS", (1,))
+    package = checkout / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_bytes(b"X = 1\n")
+
+    def written_digest() -> str:
+        bench_files.main(["kernels"])
+        return json.loads((checkout / "BENCH_kernels.json").read_text())["provenance"]["src_sha256"]
+
+    first = written_digest()
+    # bytecode caches are not source; the tree is the same
+    (package / "__pycache__").mkdir()
+    (package / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\0")
+    assert written_digest() == first == bench_files.src_sha256()
+    (package / "mod.py").write_bytes(b"X = 2\n")  # one changed byte
+    assert written_digest() != first
+    (package / "mod.py").write_bytes(b"X = 1\n")
+    (package / "extra.py").write_bytes(b"")  # a new file, even an empty one
+    assert written_digest() != first
+    # dirty reads only the paths whose changes alter what ran
+    status = [args for args in calls if args[0] == "status"]
+    assert status and all(args[-4:] == ("--", "src", "bench", "BENCHMARK.json")
+                          for args in status)
+
+
+def test_diff_prints_both_source_digests(checkout, monkeypatch, capsys) -> None:
+    monkeypatch.setattr(bench_files, "SEEDS", (4,))
+    monkeypatch.setattr(bench_files, "subprocess", fake_bench({"kernels": True}))
+    bench_files.main(["kernels"])
+    old, new = checkout / "old.json", checkout / "BENCH_kernels.json"
+    new.rename(old)
+    (checkout / "src").mkdir()
+    (checkout / "src" / "mod.py").write_text("X = 1\n")
+    bench_files.main(["kernels"])
+    before = json.loads(old.read_text())["provenance"]["src_sha256"]
+    after = json.loads(new.read_text())["provenance"]["src_sha256"]
+    assert before != after
+    capsys.readouterr()
+    # the digests differ, yet the files are compared: --diff compares two trees
+    assert bench_files.diff(old, new) == 0
+    assert f"src_sha256 old {before} new {after}\n" in capsys.readouterr().out
+    # a file written before the digest existed reads as (none)
+    written = json.loads(old.read_text())
+    del written["provenance"]["src_sha256"]
+    old.write_text(json.dumps(written))
+    bench_files.diff(old, new)
+    assert f"src_sha256 old (none) new {after}\n" in capsys.readouterr().out

@@ -684,6 +684,39 @@ def test_json_writes_non_finite_floats_as_text(tmp_path, capsys) -> None:
     assert csv_rows(out)[0]["dual_upper_bound"] == "inf"
 
 
+def test_csv_rows_render_every_value_kind(tmp_path, monkeypatch) -> None:
+    # None is an empty field, dual_feasible reads true/false, a float is its
+    # str() (so inf and subnormals too), and an error with a comma is quoted.
+    monkeypatch.chdir(tmp_path)
+    Path("huge.hgr").write_text("1 2 1\n1e308 1 2\n")
+    # a subnormal weight split over three pins rounds to zero potentials
+    Path("tiny.hgr").write_text("1 3 1\n5e-324 1 2 3\n")
+    specs = [cli.RunSpec("huge.hgr", algorithm="stack", epsilon=float("nan"), certify=True),
+             cli.RunSpec("tiny.hgr", algorithm="stack-lenient", certify=True),
+             cli.RunSpec("huge.hgr", algorithm="stack", certify=True)]
+    out = io.StringIO()
+    assert cli.emit(cli.grid(specs), "csv", out) == 1
+    runtime = CSV_COLUMNS.index("runtime_ns")
+
+    def masked(line: str) -> str:
+        # no field before runtime_ns holds a comma in these rows
+        fields = line.split(",")
+        if fields[runtime]:
+            fields[runtime] = "NS"
+        return ",".join(fields)
+
+    header, *rows = out.getvalue().splitlines()
+    assert (header, out.getvalue()[-1]) == (",".join(CSV_COLUMNS), "\n")
+    assert list(map(masked, rows)) == [
+        "huge.hgr,stack,file,original,0,0,nan,,,,,,,,,,,,,,,,,,,,,"
+        '"InvalidInput: epsilon must be non-negative and finite, got nan"',
+        "tiny.hgr,stack-lenient,file,original,0,0,0.0,,,3,1,3,3,5e-324,1,1,1,0,1,1,3,6,NS,"
+        "0.0,false,5e-324,,",
+        "huge.hgr,stack,file,original,0,0,0.0,,,2,1,2,2,1e+308,1,1,1,0,1,1,2,4,NS,"
+        "inf,true,1e+308,,",
+    ]
+
+
 def test_missing_file_exits_2(capsys) -> None:
     code, _, err = run_cli(["run", "--input", "/no/such/file.hgr",
                             "--algorithm", "naive"], capsys)

@@ -12,11 +12,16 @@ Each seed of ``SEEDS`` runs ``python3 bench/run.py --workload W --seed s
 ``host_slowdown`` and ``op_p50_wall_ms`` from the report above the last line,
 and the provenance of the runs.  No file is written unless every run exited 0
 and its last line reads ``correct: true`` with 0 failed operations.
+The provenance names the commit, whether ``src/``, ``bench/`` or
+``BENCHMARK.json`` differ from it, and ``src_sha256``, a digest of the
+package source that ran, so a file written before its commit still names
+the code it measured.
 
 ``--diff`` prints, per metric, the ratio of the new median to the old one
 beside the bound ``BENCHMARK.json`` fixes for it, and exits 1 when a metric
 is worse than the old one by more than its bound.  It refuses, with exit 2,
-two files whose workload, seeds, seconds, Python or platform differ.  The
+two files whose workload, seeds, seconds, Python or platform differ, and
+prints both ``src_sha256`` digests without comparing them.  The
 time metrics are scaled by each run's own calibration, which can read
 differently for two commits on one host; read the ``op_p50_wall_ms`` and
 ``host_slowdown`` ratios beside the scaled ones.
@@ -25,6 +30,7 @@ differently for two commits on one host; read the ``op_p50_wall_ms`` and
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import statistics
@@ -36,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 REPORTED = {"host_slowdown": "ratio", "op_p50_wall_ms": "ms"}  # report lines, not the last
 MATCHING = ("workload", "seeds", "seconds", "python", "platform")  # provenance --diff compares
+MEASURED = ("src", "bench", "BENCHMARK.json")  # the paths whose changes make a run dirty
 
 
 def run_seed(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -72,11 +79,26 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
+def src_sha256() -> str:
+    """sha256 over the sorted relative paths and bytes of the files under
+    ``src/``, bytecode caches and install metadata aside."""
+    digest = hashlib.sha256()
+    src = ROOT / "src"
+    for path in sorted(src.rglob("*")):
+        name = path.relative_to(src)
+        if path.is_file() and not any(part == "__pycache__" or part.endswith(".egg-info")
+                                      for part in name.parts):
+            data = path.read_bytes()
+            digest.update(f"{name.as_posix()}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def bench_file(spec: dict, workload: str) -> dict:
     seconds = float(spec["run_seconds"])
     provenance = {
         "commit": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "dirty": bool(git("status", "--porcelain", "--", *MEASURED)),
+        "src_sha256": src_sha256(),
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "platform": platform.platform(),
         "workload": workload,
@@ -103,6 +125,8 @@ def diff(old_path: str, new_path: str) -> int:
         print(f"{old_path} and {new_path} differ in {', '.join(differ)}; not compared",
               file=sys.stderr)
         return 2
+    old_src, new_src = (f["provenance"].get("src_sha256", "(none)") for f in (old, new))
+    print(f"src_sha256 old {old_src} new {new_src}")
     print(f"{'metric':<18} {'old':>12} {'new':>12} {'new/old':>8} {'bound':>6}")
     status = 0
     for section in ("metrics", "reported"):
