@@ -66,7 +66,11 @@ class Hypergraph(_Frozen):
     never ``bool``, and a weight is a number, never text or a ``bool``.
     The constructor is the package's one edge validator:
     the parser only adds line numbers, and :meth:`build` accepts unsorted
-    vertex lists.
+    vertex lists.  :meth:`_of_checked` is the trusted path: it skips the
+    per-edge check and keeps the total-weight check, for arrays that already
+    meet every per-edge rule.  Only :func:`~hypermatch.ingest.gen_random_hypergraph`
+    and the ``unit`` and ``size-complement`` weight schemes build through
+    it; their edges are valid by construction.
     """
 
     n: int
@@ -121,6 +125,30 @@ class Hypergraph(_Frozen):
             if not 0.0 < w < math.inf:
                 raise InvalidInput(f"edge {eid} needs a positive finite weight, got {w}")
             total_weight += w
+        self._finish(n, vertices, weights, total_weight)
+
+    @classmethod
+    def _of_checked(cls, n: int, vertices: Iterable[tuple[int, ...]],
+                    weights: Iterable[float]) -> "Hypergraph":
+        """An instance of edges that meet every per-edge rule by construction,
+        stored without the per-pin check.
+
+        The caller guarantees that ``n`` is an ``int`` at least 0, that each
+        entry of ``vertices`` is a non-empty, strictly ascending tuple of
+        ``int`` ids below ``n``, and that ``weights`` are as many positive
+        finite ``float`` objects.  The total-weight rule is still checked.
+        """
+        vertices, weights = tuple(vertices), tuple(weights)
+        total_weight = 0.0
+        for w in weights:
+            total_weight += w
+        hg = cls.__new__(cls)
+        hg._finish(n, vertices, weights, total_weight)
+        return hg
+
+    def _finish(self, n: int, vertices: tuple, weights: tuple, total_weight: float) -> None:
+        """Refuse an overflowing ``total_weight``, then store the arrays and
+        derive ``d`` and ``total_pins``."""
         if not math.isfinite(total_weight):
             raise InvalidInput("the total edge weight overflows a 64-bit float")
         vars(self).update(n=n, vertices=vertices, weights=weights,

@@ -307,16 +307,19 @@ def synthesize_weights(hg: Hypergraph, scheme: WeightScheme) -> Hypergraph:
     FROM_FILE keeps the parsed weights.  UNIT sets every weight to 1.
     SIZE_COMPLEMENT favours small edges: an edge of size k gets weight
     ``max_size - k + 1`` where ``max_size`` is the largest edge size in the
-    instance, so the largest edges get weight 1 rather than 0.
+    instance, so the largest edges get weight 1 rather than 0.  The
+    vertices were checked when ``hg`` was built, and the new weights are
+    positive finite floats, so the result skips the per-edge check.
     """
     if scheme is WeightScheme.FROM_FILE:
         return hg
     if scheme is WeightScheme.UNIT:
-        return Hypergraph(hg.n, hg.vertices, [1.0] * hg.m)
+        return Hypergraph._of_checked(hg.n, hg.vertices, [1.0] * hg.m)
     if scheme is WeightScheme.SIZE_COMPLEMENT:
         # one float per edge size, shared by every edge of that size
         by_size = [float(hg.d - size + 1) for size in range(hg.d + 1)]
-        return Hypergraph(hg.n, hg.vertices, list(map(by_size.__getitem__, map(len, hg.vertices))))
+        return Hypergraph._of_checked(
+            hg.n, hg.vertices, list(map(by_size.__getitem__, map(len, hg.vertices))))
     raise InvalidInput(f"unknown weight scheme {scheme!r}")
 
 
@@ -360,14 +363,20 @@ def order_stream(hg: Hypergraph, order: StreamOrder, seed: int = 0) -> Stream:
     return Stream._of_permutation(ids)
 
 
-def check_seed(seed: int) -> int:
-    """``seed`` read through ``operator.index``, as the generator reads its
-    counts, and refused when negative: ``random.Random`` seeds an int by its
-    absolute value, so ``-7`` would draw exactly what ``7`` draws."""
+def _integer(name: str, value: int) -> int:
+    """``value`` read through ``operator.index``: any integer type, never a
+    float or text."""
     try:
-        seed = operator.index(seed)
+        return operator.index(value)
     except TypeError:
-        raise InvalidInput(f"seed must be an integer, got {seed!r}") from None
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` read as the generator reads its counts, and refused when
+    negative: ``random.Random`` seeds an int by its absolute value, so ``-7``
+    would draw exactly what ``7`` draws."""
+    seed = _integer("seed", seed)
     if seed < 0:
         raise InvalidInput(f"seed must be non-negative, got {seed}")
     return seed
@@ -391,9 +400,16 @@ def gen_random_hypergraph(n: int, m: int, d_max: int, w_max: int, seed: int) -> 
     ``random.randint``'s or ``random.sample``'s internals, which a later
     Python may change; it draws exactly the bits that ``randint`` and
     ``sample(range(n), size)`` draw on CPython 3.10-3.13 and gives the same
-    values.  ``n`` is at most ``sys.maxsize``, the longest range ``sample``
-    draws from.  The same arguments always produce the same instance.
+    values.  ``n`` is an ``int`` and at most ``sys.maxsize``, the longest
+    range ``sample`` draws from; the other counts may be of any integer
+    type.  The same arguments always produce the same instance.  Its edges
+    are valid by construction, so the instance skips the per-edge check of
+    :class:`Hypergraph`; the total-weight check stays.
     """
+    # a Hypergraph's vertex count is a plain int, never a bool or numpy int
+    if type(n) is not int:
+        raise InvalidInput(f"vertex count must be an int, got {n!r}")
+    m, d_max, w_max = map(_integer, ("m", "d_max", "w_max"), (m, d_max, w_max))
     if n < 1:
         raise InvalidInput(f"need at least one vertex, got n={n}")
     if n > sys.maxsize:  # past the longest range random.sample draws from
@@ -407,8 +423,7 @@ def gen_random_hypergraph(n: int, m: int, d_max: int, w_max: int, seed: int) -> 
     if w_max > sys.float_info.max:  # its draws could not be stored as floats
         raise InvalidInput(f"w_max must be at most the largest float, {sys.float_info.max}")
     getrandbits = random.Random(check_seed(seed)).getrandbits
-    # as randint and sample take them: any integer type, through __index__
-    d_bits, n_bits, w_bits = (operator.index(k).bit_length() for k in (d_max, n, w_max))
+    d_bits, n_bits, w_bits = (k.bit_length() for k in (d_max, n, w_max))
     # the least size drawn from a pool, found by bisection: the pool limit
     # grows with the size
     pooled = 1 if n <= 21 else 6 + bisect.bisect_left(
@@ -447,4 +462,4 @@ def gen_random_hypergraph(n: int, m: int, d_max: int, w_max: int, seed: int) -> 
         while weight >= w_max:
             weight = getrandbits(w_bits)
         weights.append(float(1 + weight))
-    return Hypergraph(n, vertices, weights)
+    return Hypergraph._of_checked(n, vertices, weights)

@@ -1,4 +1,5 @@
-"""``tools/bench_files.py``: files only from correct runs, and the diff's verdicts."""
+"""``tools/bench_files.py``: files only from correct runs, the diff's verdicts,
+and paired runs of two revisions."""
 
 import importlib.util
 import json
@@ -18,6 +19,16 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 END_TO_END = [m["name"] for m in SPEC["end_to_end"]]
 
 
+def bench_stdout(values: dict, wall: float, digest: str, correct: bool = True) -> str:
+    """What ``bench/run.py`` prints: the report lines the tool reads, then
+    the last line with the end-to-end ``values``."""
+    last = {"correct": correct, "attempted": 3, "failed": 0,
+            "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()}}
+    return (f"host_slowdown  0.5 ratio    median calibration time\n"
+            f"op_p50_wall_ms {wall} ms       as measured\n"
+            f"record digest (without runtime_ns): {digest}\n{json.dumps(last)}\n")
+
+
 def fake_bench(correct: dict, scale: float = 1) -> SimpleNamespace:
     """A stand-in for ``subprocess`` running ``bench/run.py``: ``op_p50_ms``
     and ``edges_per_s`` read the seed times ``scale``, the report's
@@ -27,10 +38,7 @@ def fake_bench(correct: dict, scale: float = 1) -> SimpleNamespace:
         workload, seed = argv[argv.index("--workload") + 1], int(argv[argv.index("--seed") + 1])
         values = {name: 1.0 for name in END_TO_END} | {"op_p50_ms": seed * scale,
                                                         "edges_per_s": seed * scale}
-        last = {"correct": correct[workload], "attempted": 3, "failed": 0,
-                "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()}}
-        stdout = (f"host_slowdown  0.5 ratio    median calibration time\n"
-                  f"op_p50_wall_ms {seed} ms       as measured\n{json.dumps(last)}\n")
+        stdout = bench_stdout(values, seed, "d", correct[workload])
         return subprocess.CompletedProcess(argv, 0, stdout, "")
 
     return SimpleNamespace(run=run)
@@ -146,3 +154,77 @@ def test_diff_prints_both_source_digests(checkout, monkeypatch, capsys) -> None:
     old.write_text(json.dumps(written))
     bench_files.diff(old, new)
     assert f"src_sha256 old (none) new {after}\n" in capsys.readouterr().out
+
+
+HEAD_MS = (9, 11, 13, 12)  # against the base's 10, 11, 12, 13: won, tied, lost, won
+
+
+def fake_pair_bench(digest=lambda side, run: "d") -> SimpleNamespace:
+    """A stand-in for ``subprocess`` running ``bench/run.py`` from a pair's
+    checkout.  Each run reads which side's ``src/`` it was given; in pair
+    ``i`` the base reads ``op_p50_ms`` 10 + i and the head ``HEAD_MS[i]``,
+    and the wall time half of that.  ``calls`` records each run's side and
+    checkout; ``digest`` gets the side and the run's number from 1."""
+    calls = []
+
+    def run(argv, cwd, **kwargs):
+        assert (Path(cwd) / "BENCHMARK.json").is_file() and (Path(cwd) / "bench" / "run.py").is_file()
+        side = (Path(cwd) / "src" / "mod.py").read_text().split()[-1]
+        calls.append((side, cwd))
+        i = (len(calls) - 1) // 2
+        ms = 10 + i if side == "base" else HEAD_MS[i % len(HEAD_MS)]
+        values = {name: 1.0 for name in END_TO_END} | {"op_p50_ms": ms}
+        return subprocess.CompletedProcess(
+            argv, 0, bench_stdout(values, ms / 2, digest(side, len(calls))), "")
+
+    return SimpleNamespace(run=run, calls=calls)
+
+
+@pytest.fixture
+def pair_checkout(checkout, monkeypatch):
+    (checkout / "bench").mkdir()
+    (checkout / "bench" / "run.py").write_text("")
+
+    def export_src(rev, dest):  # each revision's tree names its side
+        (dest / "src").mkdir(parents=True)
+        (dest / "src" / "mod.py").write_text(f"SIDE = {rev}\n")
+
+    monkeypatch.setattr(bench_files, "export_src", export_src)
+    monkeypatch.setattr(bench_files, "git", lambda *args: f"commit of {args[-1]}")
+    monkeypatch.setattr(bench_files, "PAIRS", 4)
+    return checkout
+
+
+def test_pair_alternates_sides_from_one_checkout(pair_checkout, monkeypatch, capsys) -> None:
+    fake = fake_pair_bench()
+    monkeypatch.setattr(bench_files, "subprocess", fake)
+    assert bench_files.main(["--pair", "base", "head", "kernels", "--seed", "7"]) == 0
+    assert [side for side, _ in fake.calls] == ["base", "head", "head", "base"] * 2
+    assert len({cwd for _, cwd in fake.calls}) == 1
+    written = json.loads((pair_checkout / "PAIR_kernels.json").read_text())
+    provenance = written["provenance"]
+    assert (provenance["workload"], provenance["seed"], provenance["pairs"]) == ("kernels", 7, 4)
+    assert provenance["seconds"] == SPEC["run_seconds"]
+    assert provenance["record_digest"] == "d"
+    assert provenance["base"]["rev"] == "base" and provenance["head"]["commit"] == "commit of head^{commit}"
+    assert provenance["base"]["src_sha256"] != provenance["head"]["src_sha256"]
+    op = written["metrics"]["op_p50_ms"]
+    assert op["base"]["values"] == [10, 11, 12, 13] and op["head"]["values"] == [9, 11, 13, 12]
+    assert (op["base"]["q1"], op["base"]["median"], op["base"]["q3"]) == (10.75, 11.5, 12.25)
+    assert op["head_wins"] == 2  # a tie counts for neither side
+    assert op["median_ratio"] == pytest.approx((12 / 13 + 11 / 11) / 2)
+    assert written["metrics"]["edges_per_s"]["head_wins"] == 0  # all equal: ties
+    assert written["metrics"]["op_p50_wall_ms"]["head"]["values"] == [4.5, 5.5, 6.5, 6]
+    assert written["metrics"]["host_slowdown"]["head_wins"] is None
+    out = capsys.readouterr().out
+    assert "record digests equal" in out and "PAIR_kernels.json" in out
+    assert out.count(" 2/4") == 2  # op_p50_ms and op_p50_wall_ms
+
+
+def test_pair_stops_at_differing_record_digests(pair_checkout, monkeypatch) -> None:
+    fake = fake_pair_bench(digest=lambda side, run: "d" if run < 5 else side)
+    monkeypatch.setattr(bench_files, "subprocess", fake)
+    with pytest.raises(SystemExit, match="pair 3: the record digests differ, base and head"):
+        bench_files.main(["--pair", "base", "head", "certify-small"])
+    assert len(fake.calls) == 6
+    assert list(pair_checkout.glob("PAIR_*.json")) == []

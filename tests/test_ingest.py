@@ -487,6 +487,34 @@ def test_gen_takes_any_integer_type() -> None:
         gen_random_hypergraph(np.int64(30), 40, 5, 100, 1)
 
 
+@pytest.mark.parametrize("scheme", list(WeightScheme))
+def test_trusted_instances_equal_checked_ones(scheme) -> None:
+    # generated and re-weighted instances skip the per-edge check; the
+    # checked constructor must accept the same arrays and derive the same sizes
+    for shape in GEN_SHAPES:
+        hg = synthesize_weights(gen_random_hypergraph(*shape), scheme)
+        checked = Hypergraph(hg.n, hg.vertices, hg.weights)
+        assert (hg, hg.d, hg.total_pins) == (checked, checked.d, checked.total_pins), shape
+
+
+def test_trusted_instances_keep_the_overflow_check() -> None:
+    # two weights near the largest float: each is finite, their sum is not
+    with pytest.raises(InvalidInput, match="total edge weight overflows"):
+        gen_random_hypergraph(10, 2, 2, int(1.7e308), 1)
+    with pytest.raises(InvalidInput, match="total edge weight overflows"):
+        Hypergraph._of_checked(1, [(0,), (0,)], [1.7e308, 1.7e308])
+
+
+@pytest.mark.parametrize("count,value", [
+    ("w_max", 1.7e308), ("m", 2.5), ("n", 10.0), ("d_max", 2.0), ("m", "7"), ("m", None),
+    ("n", True), ("n", "10"),
+])
+def test_gen_refuses_a_count_that_is_not_an_integer(count, value) -> None:
+    counts = {"n": 10, "m": 3, "d_max": 2, "w_max": 10, "seed": 1} | {count: value}
+    with pytest.raises(InvalidInput, match="must be an int"):
+        gen_random_hypergraph(**counts)
+
+
 def test_gen_instance_at_scale_is_pinned() -> None:
     # vertices drawn below n, never from a pool, and weights of two 32-bit words
     text = serialize_hmetis(gen_random_hypergraph(20000, 20000, 8, 2 ** 40, 1))
