@@ -228,3 +228,12 @@ def test_pair_stops_at_differing_record_digests(pair_checkout, monkeypatch) -> N
         bench_files.main(["--pair", "base", "head", "certify-small"])
     assert len(fake.calls) == 6
     assert list(pair_checkout.glob("PAIR_*.json")) == []
+
+
+def test_export_src_unpacks_the_tracked_source_tree(tmp_path) -> None:
+    if not (ROOT / ".git").exists():
+        pytest.skip("not a git checkout")
+    bench_files.export_src("HEAD", tmp_path)
+    unpacked = sorted(path.relative_to(tmp_path).as_posix()
+                      for path in (tmp_path / "src").rglob("*") if path.is_file())
+    assert unpacked == sorted(bench_files.git("ls-tree", "-r", "--name-only", "HEAD", "src").splitlines())

@@ -147,8 +147,10 @@ def export_src(rev: str, dest: Path) -> None:
     """Unpack the ``src/`` tree of ``rev`` as ``dest / "src"``, by ``git archive``."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
                          capture_output=True, check=True).stdout
+    # the "data" filter, which refuses links and paths out of dest, is new in 3.10.12 and 3.11.4
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+        archive.extractall(dest, **safe)
 
 
 def side_by_side(base: list, head: list, better: str | None) -> dict:
