@@ -29,7 +29,7 @@ import math
 import time
 from array import array
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 
 class InvalidInput(ValueError):
@@ -239,11 +239,20 @@ def first_fit(hg: Hypergraph, stream: Iterable[int]) -> list[int]:
     return chosen
 
 
+def id_typecode(m: int) -> str:
+    """The ``array`` typecode that holds the ids of ``m`` edges: ``"i"``, 4 bytes
+    each, while every id fits it, else ``"q"``, 8 bytes each."""
+    return "i" if m <= 1 << 31 else "q"
+
+
 class Stream:
     """A read-only permutation of edge ids, in presentation order.
 
-    The ids are packed into one ``array("q")``, 8 bytes per edge, instead
-    of a list of int objects.  The constructor reads ``ids`` once and
+    The ids are packed into one ``array("i")``, 4 bytes per edge, instead
+    of a list of int objects; past ``2**31`` edges, where an id no longer
+    fits 4 bytes, into an ``array("q")`` at 8.  :meth:`_of_permutation`
+    keeps a ``range`` as it is, so the original order stores nothing per
+    edge.  The constructor reads ``ids`` once and
     raises InvalidInput unless they are a permutation of ``0..len-1``, the
     package's one permutation check; with no mutating methods the
     permutation then holds for the stream's life, so :func:`check_stream`
@@ -270,13 +279,17 @@ class Stream:
             entry = ids[ids.index(eid)]
             if type(entry) is bool:
                 raise InvalidInput(f"stream entries must be integer edge ids, got {entry!r}")
-        self._ids = array("q", ids)
+        self._ids = array(id_typecode(m), ids)
 
     @classmethod
-    def _of_permutation(cls, ids: list[int]) -> "Stream":
-        """Pack ``ids``, already a permutation by construction, unchecked."""
+    def _of_permutation(cls, ids: Union[range, array, list[int]]) -> "Stream":
+        """The ids of ``ids``, already a permutation by construction, unchecked.
+
+        A ``range`` or an ``array`` is kept as it is; a list is packed.
+        """
         stream = cls.__new__(cls)
-        stream._ids = array("q", ids)
+        stream._ids = ids if type(ids) is range or type(ids) is array else array(
+            id_typecode(len(ids)), ids)
         return stream
 
     def __len__(self) -> int:

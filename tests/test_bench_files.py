@@ -19,14 +19,16 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 END_TO_END = [m["name"] for m in SPEC["end_to_end"]]
 
 
-def bench_stdout(values: dict, wall: float, digest: str, correct: bool = True) -> str:
+def bench_stdout(values: dict, wall: float, digest: str, correct: bool = True,
+                 import_s: float = 0.02) -> str:
     """What ``bench/run.py`` prints: the report lines the tool reads, then
-    the last line with the end-to-end ``values``."""
+    the last line with the end-to-end (or, traced, per-layer) ``values``."""
     last = {"correct": correct, "attempted": 3, "failed": 0,
             "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()}}
     return (f"host_slowdown  0.5 ratio    median calibration time\n"
             f"op_p50_wall_ms {wall} ms       as measured\n"
-            f"record digest (without runtime_ns): {digest}\n{json.dumps(last)}\n")
+            f"record digest (without runtime_ns): {digest}\n"
+            f"provenance {json.dumps({'seed': 1, 'import_s': import_s})}\n{json.dumps(last)}\n")
 
 
 def fake_bench(correct: dict, scale: float = 1) -> SimpleNamespace:
@@ -157,19 +159,29 @@ def test_diff_prints_both_source_digests(checkout, monkeypatch, capsys) -> None:
 
 
 HEAD_MS = (9, 11, 13, 12)  # against the base's 10, 11, 12, 13: won, tied, lost, won
+COMMITS = {"base": "ba5e" * 10, "head": "4ead" * 10}
+PER_LAYER = [m["name"] for m in SPEC["per_layer"]]
 
 
-def fake_pair_bench(digest=lambda side, run: "d") -> SimpleNamespace:
+def fake_pair_bench(digest=lambda side, run: "d", traced_digest="d") -> SimpleNamespace:
     """A stand-in for ``subprocess`` running ``bench/run.py`` from a pair's
     checkout.  Each run reads which side's ``src/`` it was given; in pair
     ``i`` the base reads ``op_p50_ms`` 10 + i and the head ``HEAD_MS[i]``,
-    and the wall time half of that.  ``calls`` records each run's side and
-    checkout; ``digest`` gets the side and the run's number from 1."""
-    calls = []
+    and the wall time half of that.  ``calls`` records each untraced run's
+    side and checkout; ``digest`` gets the side and the run's number from 1.
+    ``traced`` records the side of each ``--trace 1`` run, whose per-layer
+    metrics read 2 for the base and 1 for the head, and whose ``import_s``
+    reads 0.02 and 0.01."""
+    calls, traced = [], []
 
     def run(argv, cwd, **kwargs):
         assert (Path(cwd) / "BENCHMARK.json").is_file() and (Path(cwd) / "bench" / "run.py").is_file()
         side = (Path(cwd) / "src" / "mod.py").read_text().split()[-1]
+        if argv[argv.index("--trace") + 1] == "1":
+            traced.append(side)
+            value = 2.0 if side == "base" else 1.0
+            return subprocess.CompletedProcess(argv, 0, bench_stdout(
+                dict.fromkeys(PER_LAYER, value), 1, traced_digest, import_s=value / 100), "")
         calls.append((side, cwd))
         i = (len(calls) - 1) // 2
         ms = 10 + i if side == "base" else HEAD_MS[i % len(HEAD_MS)]
@@ -177,7 +189,7 @@ def fake_pair_bench(digest=lambda side, run: "d") -> SimpleNamespace:
         return subprocess.CompletedProcess(
             argv, 0, bench_stdout(values, ms / 2, digest(side, len(calls))), "")
 
-    return SimpleNamespace(run=run, calls=calls)
+    return SimpleNamespace(run=run, calls=calls, traced=traced)
 
 
 @pytest.fixture
@@ -190,7 +202,8 @@ def pair_checkout(checkout, monkeypatch):
         (dest / "src" / "mod.py").write_text(f"SIDE = {rev}\n")
 
     monkeypatch.setattr(bench_files, "export_src", export_src)
-    monkeypatch.setattr(bench_files, "git", lambda *args: f"commit of {args[-1]}")
+    monkeypatch.setattr(bench_files, "git",
+                        lambda *args: COMMITS[args[-1].removesuffix("^{commit}")])
     monkeypatch.setattr(bench_files, "PAIRS", 4)
     return checkout
 
@@ -201,12 +214,12 @@ def test_pair_alternates_sides_from_one_checkout(pair_checkout, monkeypatch, cap
     assert bench_files.main(["--pair", "base", "head", "kernels", "--seed", "7"]) == 0
     assert [side for side, _ in fake.calls] == ["base", "head", "head", "base"] * 2
     assert len({cwd for _, cwd in fake.calls}) == 1
-    written = json.loads((pair_checkout / "PAIR_kernels.json").read_text())
+    written = json.loads((pair_checkout / "PAIR_kernels_ba5eba5_4ead4ea.json").read_text())
     provenance = written["provenance"]
     assert (provenance["workload"], provenance["seed"], provenance["pairs"]) == ("kernels", 7, 4)
     assert provenance["seconds"] == SPEC["run_seconds"]
     assert provenance["record_digest"] == "d"
-    assert provenance["base"]["rev"] == "base" and provenance["head"]["commit"] == "commit of head^{commit}"
+    assert provenance["base"]["rev"] == "base" and provenance["head"]["commit"] == COMMITS["head"]
     assert provenance["base"]["src_sha256"] != provenance["head"]["src_sha256"]
     op = written["metrics"]["op_p50_ms"]
     assert op["base"]["values"] == [10, 11, 12, 13] and op["head"]["values"] == [9, 11, 13, 12]
@@ -217,7 +230,7 @@ def test_pair_alternates_sides_from_one_checkout(pair_checkout, monkeypatch, cap
     assert written["metrics"]["op_p50_wall_ms"]["head"]["values"] == [4.5, 5.5, 6.5, 6]
     assert written["metrics"]["host_slowdown"]["head_wins"] is None
     out = capsys.readouterr().out
-    assert "record digests equal" in out and "PAIR_kernels.json" in out
+    assert "record digests equal" in out and "PAIR_kernels_ba5eba5_4ead4ea.json" in out
     assert out.count(" 2/4") == 2  # op_p50_ms and op_p50_wall_ms
 
 
@@ -237,3 +250,42 @@ def test_export_src_unpacks_the_tracked_source_tree(tmp_path) -> None:
     unpacked = sorted(path.relative_to(tmp_path).as_posix()
                       for path in (tmp_path / "src").rglob("*") if path.is_file())
     assert unpacked == sorted(bench_files.git("ls-tree", "-r", "--name-only", "HEAD", "src").splitlines())
+
+
+def test_pair_keeps_one_traced_run_per_side(pair_checkout, monkeypatch, capsys) -> None:
+    fake = fake_pair_bench()
+    monkeypatch.setattr(bench_files, "subprocess", fake)
+    assert bench_files.main(["--pair", "base", "head", "kernels"]) == 0
+    assert fake.traced == ["base", "head"] and len(fake.calls) == 8
+    traced = json.loads((pair_checkout / "PAIR_kernels_ba5eba5_4ead4ea.json").read_text())["traced"]
+    assert traced["base"]["import_s"] == 0.02 and traced["head"]["import_s"] == 0.01
+    for side, value in (("base", 2.0), ("head", 1.0)):
+        assert traced[side]["per_layer"] == {name: {"value": value, "unit": "u"}
+                                             for name in PER_LAYER}
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+    assert rows["import_s"] == ["0.02", "0.01"]
+    assert rows["ingest.order_stream.busy_s"] == rows["baselines.run_greedy.self_s"] == ["2", "1"]
+
+
+def test_pair_stops_at_a_traced_run_with_another_digest(pair_checkout, monkeypatch) -> None:
+    monkeypatch.setattr(bench_files, "subprocess", fake_pair_bench(traced_digest="other"))
+    with pytest.raises(SystemExit, match="traced base run: record digest other, not d"):
+        bench_files.main(["--pair", "base", "head", "kernels"])
+    assert list(pair_checkout.glob("PAIR_*.json")) == []
+
+
+def test_pair_names_its_file_by_both_commits_and_never_overwrites(
+        pair_checkout, monkeypatch) -> None:
+    fake = fake_pair_bench()
+    monkeypatch.setattr(bench_files, "subprocess", fake)
+    # an A/A control and a run of two revisions write two files
+    assert bench_files.main(["--pair", "head", "head", "kernels"]) == 0
+    assert bench_files.main(["--pair", "base", "head", "kernels"]) == 0
+    assert sorted(path.name for path in pair_checkout.glob("PAIR_*.json")) == [
+        "PAIR_kernels_4ead4ea_4ead4ea.json", "PAIR_kernels_ba5eba5_4ead4ea.json"]
+    written = (pair_checkout / "PAIR_kernels_ba5eba5_4ead4ea.json").read_text()
+    runs = len(fake.calls)
+    with pytest.raises(SystemExit, match="PAIR_kernels_ba5eba5_4ead4ea.json exists"):
+        bench_files.main(["--pair", "base", "head", "kernels"])
+    assert len(fake.calls) == runs  # refused before any run
+    assert (pair_checkout / "PAIR_kernels_ba5eba5_4ead4ea.json").read_text() == written

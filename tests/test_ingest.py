@@ -4,10 +4,11 @@ import hashlib
 import random
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 
-from hypermatch import ingest
+from hypermatch import core, ingest
 from hypermatch.core import Hypergraph, InvalidInput, Stream
 from hypermatch.ingest import (
     ParseError,
@@ -432,6 +433,87 @@ def test_reversed_ascending_equals_descending_iff_distinct() -> None:
         list(reversed(order_stream(tied, StreamOrder.ASCENDING)))
         != list(order_stream(tied, StreamOrder.DESCENDING))
     )
+
+
+def _weighted(weights: list[float]) -> Hypergraph:
+    return Hypergraph(1, [(0,)] * len(weights), weights)
+
+
+def _weights(values: int, m: int, seed: int) -> list[float]:
+    """``m`` weights drawn from ``values`` distinct integers, one float object
+    per value as the parser shares them."""
+    rng = random.Random(seed)
+    pool = [float(v) for v in range(1, values + 1)]
+    return [pool[rng.randrange(values)] for _ in range(m)]
+
+
+@pytest.mark.parametrize(
+    "weights,grouped",
+    [
+        ([2.0] * 15, False),  # one value, fewer than 16 edges
+        ([2.0] * 16, True),
+        ([2.0] * 2500, True),
+        (_weights(100, 2000, 1), True),
+        (_weights(100, 1599, 2), False),  # 100 values need 1600 edges to group
+        (_weights(10, 160, 3), True),
+        (_weights(10, 159, 4), False),
+        (list(map(float, random.Random(5).sample(range(1, 10**6), 2000))), False),  # all distinct
+        ([1.0 + (i % 3) / 4 for i in range(3000)], True),  # a fresh float per edge
+        ([], True),
+    ],
+)
+def test_weight_orders_are_the_stable_sort(weights: list[float], grouped: bool) -> None:
+    hg = _weighted(weights)
+    for order, descending in ((StreamOrder.ASCENDING, False), (StreamOrder.DESCENDING, True)):
+        expected = sorted(range(hg.m), key=hg.weights.__getitem__, reverse=descending)
+        assert list(order_stream(hg, order)) == expected
+        # the rule: grouped into an array when len(set(weights)) * 16 <= m
+        assert isinstance(ingest._by_weight(hg.weights, descending), array) is grouped
+        assert (len(set(weights)) * 16 <= len(weights)) is grouped
+
+
+def test_equal_values_in_different_floats_form_one_group() -> None:
+    # "5" and "5.0" are two spellings, so the parser gives them two objects
+    spellings = ("5", "5.0", "7", "2.5")
+    text = "".join(f"{spellings[i % 4]} 1\n" for i in range(64))
+    hg = parse_hmetis(f"64 1 1\n{text}")
+    assert hg.weights[0] == hg.weights[1] and hg.weights[0] is not hg.weights[1]
+    fives = [i for i in range(64) if i % 4 < 2]
+    sevens = list(range(2, 64, 4))
+    halves = list(range(3, 64, 4))
+    assert isinstance(ingest._by_weight(hg.weights, False), array)
+    assert list(order_stream(hg, StreamOrder.ASCENDING)) == halves + fives + sevens
+    assert list(order_stream(hg, StreamOrder.DESCENDING)) == sevens + fives + halves
+
+
+def test_streams_cost_at_most_4_bytes_per_edge() -> None:
+    m = 20_000
+    hg = _weighted(_weights(100, m, 6))
+    for order in StreamOrder:
+        order_stream(hg, order, seed=3)  # warm any lazily built state
+        tracemalloc.start()
+        try:
+            stream = order_stream(hg, order, seed=3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a kept Stream is one array of 4-byte ids, or a range
+        assert kept <= 4 * m + 512, order
+        if order is StreamOrder.ORIGINAL:
+            assert peak < 512  # nothing per edge, and no list
+            assert type(stream._ids) is range
+        elif order is StreamOrder.DESCENDING or order is StreamOrder.ASCENDING:
+            # the groups and the result; the sort held about 48 bytes per edge
+            assert peak / m < 12, order
+        assert list(stream) == list(order_stream(hg, order, seed=3))
+
+
+def test_stream_ids_are_4_bytes_while_they_fit() -> None:
+    assert core.id_typecode(0) == core.id_typecode(2**31) == "i"
+    assert core.id_typecode(2**31 + 1) == "q"
+    assert array("i").itemsize == 4
+    assert Stream([2, 0, 1])._ids.typecode == "i"
+    assert order_stream(_weighted([1.0] * 3), StreamOrder.RANDOM)._ids.typecode == "i"
 
 
 def test_gen_is_deterministic() -> None:

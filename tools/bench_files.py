@@ -34,11 +34,14 @@ each side's ``src/`` into that checkout for its runs, so both sides run
 from one path.  It makes ``PAIRS`` pairs of runs of one seed at
 ``run_seconds``, alternating which side goes first.  Per metric it prints
 each side's median and quartiles, the median of the per-pair ratios
-HEAD/BASE and the number of pairs HEAD wins.  It exits 1, writing
-nothing, as soon as the two runs of a pair give different record digests;
-otherwise it writes ``PAIR_<workload>.json`` with both revisions'
-``src_sha256``.  ``--pair HEAD HEAD`` is the A/A control: its spread is
-the noise a claimed gain must beat.
+HEAD/BASE and the number of pairs HEAD wins.  Then each side makes one
+``--trace 1`` run, whose per-layer last line and ``import_s`` show where
+the time went.  It exits 1, writing nothing, as soon as two runs give
+different record digests; otherwise it writes
+``PAIR_<workload>_<base>_<head>.json``, named by both short commits, with
+both revisions' ``src_sha256``.  It refuses to start when that file exists,
+so one run never overwrites another.  ``--pair HEAD HEAD`` is the A/A
+control: its spread is the noise a claimed gain must beat.
 """
 
 from __future__ import annotations
@@ -63,16 +66,18 @@ PAIRS = 10  # pairs of runs per --pair comparison
 # report lines, not the last: unit, and which way is better (None: neither)
 REPORTED = {"host_slowdown": ("ratio", None), "op_p50_wall_ms": ("ms", "lower")}
 DIGEST = "record digest (without runtime_ns): "
+PROVENANCE = "provenance "
 MATCHING = ("workload", "seeds", "seconds", "python", "platform")  # provenance --diff compares
 MEASURED = ("src", "bench", "BENCHMARK.json")  # the paths whose changes make a run dirty
 
 
-def run_seed(workload: str, seed: int, seconds: float,
-             root: Path | None = None) -> tuple[dict, dict, str]:
-    """One fresh ``bench/run.py`` process in ``root`` (this checkout by
-    default): its last line, the REPORTED values and the record digest."""
+def run_seed(workload: str, seed: int, seconds: float, root: Path | None = None,
+             trace: int = 0) -> tuple[dict, dict, str]:
+    """One fresh ``bench/run.py --trace TRACE`` process in ``root`` (this
+    checkout by default): its last line, the REPORTED values, with the
+    provenance's ``import_s`` when the report has one, and the record digest."""
     argv = [sys.executable, "bench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds)]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root or ROOT, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     try:
@@ -90,6 +95,8 @@ def run_seed(workload: str, seed: int, seconds: float,
             reported[name] = float(rest.split()[0])
         elif line.startswith(DIGEST):
             digest = line[len(DIGEST):]
+        elif line.startswith(PROVENANCE):
+            reported["import_s"] = json.loads(line[len(PROVENANCE):])["import_s"]
     missing = sorted(REPORTED.keys() - reported.keys()) + ["record digest"] * (digest is None)
     if missing:
         sys.exit(f"{workload} seed {seed}: the report lacks {missing}; nothing written")
@@ -169,10 +176,17 @@ def side_by_side(base: list, head: list, better: str | None) -> dict:
 
 def pair(spec: dict, base: str, head: str, workload: str, seed: int) -> int:
     """Run PAIRS alternating pairs of BASE and HEAD from one scratch checkout,
-    print the comparison and write ``PAIR_<workload>.json``."""
+    then one traced run of each side, print the comparison and write
+    ``PAIR_<workload>_<base>_<head>.json``, named by both short commits.
+    An existing file of that name is refused before anything runs."""
     seconds = float(spec["run_seconds"])
     sides = {"base": base, "head": head}
+    commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}") for side, rev in sides.items()}
+    path = ROOT / f"PAIR_{workload}_{commits['base'][:7]}_{commits['head'][:7]}.json"
+    if path.exists():
+        sys.exit(f"{path.relative_to(ROOT)} exists; move it away to run this pair again")
     runs = {side: [] for side in sides}  # per run, every metric's value by name
+    traced = {}  # per side, the traced run's per-layer last line and import_s
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as scratch:
         scratch = Path(scratch)
         checkout = scratch / "checkout"
@@ -180,26 +194,36 @@ def pair(spec: dict, base: str, head: str, workload: str, seed: int) -> int:
                         ignore=shutil.ignore_patterns("out", "__pycache__"))
         shutil.copy(ROOT / "BENCHMARK.json", checkout)
         compileall.compile_dir(checkout / "bench", quiet=1)
+
+        def run_side(side: str, trace: int = 0) -> tuple[dict, dict, str]:
+            (scratch / side / "src").rename(checkout / "src")
+            try:
+                return run_seed(workload, seed, seconds, checkout, trace)
+            finally:
+                (checkout / "src").rename(scratch / side / "src")
+
         revisions = {}
         for side, rev in sides.items():
             export_src(rev, scratch / side)
             compileall.compile_dir(scratch / side / "src", quiet=1)
-            revisions[side] = {"rev": rev, "commit": git("rev-parse", "--verify", f"{rev}^{{commit}}"),
+            revisions[side] = {"rev": rev, "commit": commits[side],
                                "src_sha256": src_sha256(scratch / side / "src")}
         for i in range(PAIRS):
             digests = set()
             for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                (scratch / side / "src").rename(checkout / "src")
-                try:
-                    last, reported, digest = run_seed(workload, seed, seconds, checkout)
-                finally:
-                    (checkout / "src").rename(scratch / side / "src")
+                last, reported, digest = run_side(side)
                 runs[side].append({**{name: entry["value"] for name, entry in last["metrics"].items()},
                                    **reported})
                 digests.add(digest)
             if len(digests) != 1:
                 sys.exit(f"{workload} pair {i + 1}: the record digests differ, "
                          f"{' and '.join(sorted(digests))}; nothing written")
+        for side in sides:
+            last, reported, digest = run_side(side, trace=1)
+            if digest not in digests:
+                sys.exit(f"{workload} traced {side} run: record digest {digest}, not "
+                         f"{digests.pop()}; nothing written")
+            traced[side] = {"import_s": reported.get("import_s"), "per_layer": last["metrics"]}
     kinds = {m["name"]: (m["unit"], m["better"]) for m in spec["end_to_end"]} | REPORTED
     metrics = {name: {"unit": unit, "better": better, **side_by_side(
         *([run[name] for run in runs[side]] for side in sides), better)}
@@ -214,13 +238,18 @@ def pair(spec: dict, base: str, head: str, workload: str, seed: int) -> int:
                  for side in sides]
         wins = "" if entry["head_wins"] is None else f"{entry['head_wins']}/{PAIRS}"
         print(f"{name:<18} {shown[0]:>34} {shown[1]:>34} {entry['median_ratio']:>9.4f} {wins:>9}")
+    print(f"{'one traced run per side':<42} {'base':>12} {'head':>12}")
+    print(f"{'import_s':<42} {traced['base']['import_s']:>12.6g} {traced['head']['import_s']:>12.6g}")
+    for name, entry in traced["base"]["per_layer"].items():
+        print(f"{name:<42} {entry['value']:>12.6g} "
+              f"{traced['head']['per_layer'][name]['value']:>12.6g}")
     provenance = {
         "workload": workload, "seed": seed, "seconds": seconds, "pairs": PAIRS,
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "platform": platform.platform(), "record_digest": digests.pop(), **revisions,
     }
-    path = ROOT / f"PAIR_{workload}.json"
-    path.write_text(json.dumps({"provenance": provenance, "metrics": metrics}, indent=1) + "\n")
+    path.write_text(json.dumps({"provenance": provenance, "metrics": metrics, "traced": traced},
+                               indent=1) + "\n")
     print(path.relative_to(ROOT))
     return 0
 
