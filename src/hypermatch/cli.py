@@ -274,7 +274,8 @@ class _LoadedInstance:
     def stream(self, order: StreamOrder, seed: int) -> Stream:
         """The edge ids in ``order``, as the cached :class:`Stream`.
 
-        Each distinct stream is ordered once and kept, 8 bytes per edge;
+        Each distinct stream is ordered once and kept, at most 4 bytes per
+        edge, and nothing per edge for the original order, a ``range``;
         every run iterates that same stream, with no copy and no check.
         Only the random order reads the seed, so the other orders are kept
         once whatever the seed.

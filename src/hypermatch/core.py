@@ -288,8 +288,7 @@ class Stream:
         A ``range`` or an ``array`` is kept as it is; a list is packed.
         """
         stream = cls.__new__(cls)
-        stream._ids = ids if type(ids) is range or type(ids) is array else array(
-            id_typecode(len(ids)), ids)
+        stream._ids = ids if isinstance(ids, (range, array)) else array(id_typecode(len(ids)), ids)
         return stream
 
     def __len__(self) -> int:

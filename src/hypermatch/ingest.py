@@ -9,7 +9,9 @@ The on-disk format is the plain hMetis text layout:
 ``m`` is the edge count and ``n`` the vertex count.  When ``fmt`` is 1 each
 edge line starts with its weight; when ``fmt`` is absent or 0 all weights
 are 1.  Vertices are 1-based in the file and shifted to 0-based here.
-Lines may end in LF or CRLF.
+A line ends wherever ``str.splitlines`` ends one in the decoded text: at
+LF, CRLF or a lone CR, and also at VT, FF, FS, GS, RS, NEL (U+0085),
+U+2028 and U+2029.
 
 The parser reads the text a chunk at a time and gives all pins of one
 vertex one shared ``int``.  Where ids repeat, it reads a pin with one
@@ -372,22 +374,17 @@ def _by_weight(weights: tuple[float, ...], descending: bool) -> array | list[int
     """The ids of ``weights`` in the stable sort by weight, ascending or
     descending: ties stay in id order.
 
-    When there are few distinct values, at most one per 16 edges, the ids
-    are grouped by value instead of sorted: one ``array`` per distinct
-    value, made in sorted value order, filled in one pass in id order, then
-    copied one after another into an array of exactly ``m`` ids.  Equal
-    values held by different ``float`` objects (the parser's ``5`` and
-    ``5.0``) are one dict key, so they share a group, which keeps the result
-    exactly that of the stable sort.  The grouping peaks at about 8 bytes
-    per edge, the groups and the result; the sort holds a list of ``m`` int
-    objects and their keys, about 48.  With many distinct values the per-group
-    arrays cost more than the sort saves: on 1e5 edges the grouping was
-    faster and lighter up to about 1e4 distinct values, and with 6.3e4 it
-    took 3.8 times as long as the sort and peaked at 15.8 MB against 5.6, so
-    the sort stays there.  The rule leaves a margin on both sides.  The
-    values are counted a slice at a time and the count stops
-    once it passes ``m / 16``, so that set holds at most about ``m / 16 +
-    _WEIGHTS_PER_COUNT`` values and is dropped before the sort starts.
+    With at most one distinct value per 16 edges, the ids are grouped by
+    value instead: one ``array`` per value, made in sorted value order and
+    filled in one pass in id order, then copied in turn into an array of
+    exactly ``m`` ids.  Equal values held by different ``float`` objects
+    (the parser's ``5`` and ``5.0``) are one dict key and share a group, so
+    the result is exactly the stable sort's.  The grouping peaks at about 8
+    bytes per edge, where the sort holds about 48 in a list of int objects
+    and its keys; with many distinct values the per-value arrays cost more
+    than the sort, which stays there (README, "Measured").  The values are
+    counted a slice at a time, and the count stops once it passes
+    ``m / 16``, so its set stays small and is dropped before the sort starts.
     """
     m = len(weights)
     distinct = set()
@@ -402,7 +399,6 @@ def _by_weight(weights: tuple[float, ...], descending: bool) -> array | list[int
     append = {w: group.append for w, group in groups.items()}
     for eid, w in enumerate(weights):
         append[w](eid)
-    del append
     ids = array(code, [0]) * m  # sized exactly, where a growing array over-allocates
     end = 0
     for group in groups.values():
