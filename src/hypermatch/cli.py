@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from functools import cache, cached_property
 from operator import attrgetter
 from pathlib import Path
@@ -159,56 +160,14 @@ CSV_COLUMNS = (
     "logical_memory", "runtime_ns", "dual_upper_bound", "dual_feasible", "oracle_weight",
     "matching_edges", "error",
 )
-_column_values = attrgetter(*CSV_COLUMNS)
 _DUAL_FEASIBLE = CSV_COLUMNS.index("dual_feasible")
 
 
-class ResultRecord:
-    """Flat result row; fields that do not apply stay None."""
+# every column past the first six, which each record sets, defaults to None
+class ResultRecord(namedtuple("ResultRecord", CSV_COLUMNS, defaults=(None,) * 22)):
+    """Flat result row, read-only; fields that do not apply stay None."""
 
-    def __init__(self, instance: str, algorithm: str, weights: str, order: str, seed: int,
-                 repeat: int, epsilon: Optional[float] = None, alpha: Optional[str] = None,
-                 resolved_alpha: Optional[float] = None, n: Optional[int] = None,
-                 m: Optional[int] = None, d: Optional[int] = None,
-                 total_pins: Optional[int] = None, matching_weight: Optional[float] = None,
-                 cardinality: Optional[int] = None, pushes: Optional[int] = None,
-                 pops: Optional[int] = None, swaps: Optional[int] = None,
-                 vertex_push_max: Optional[int] = None,
-                 peak_stack_edges: Optional[int] = None,
-                 peak_stack_pins: Optional[int] = None,
-                 logical_memory: Optional[int] = None, runtime_ns: Optional[int] = None,
-                 dual_upper_bound: Optional[float] = None,
-                 dual_feasible: Optional[bool] = None,
-                 oracle_weight: Optional[float] = None,
-                 matching_edges: Optional[str] = None, error: Optional[str] = None) -> None:
-        self.instance = instance
-        self.algorithm = algorithm
-        self.weights = weights
-        self.order = order
-        self.seed = seed
-        self.repeat = repeat
-        self.epsilon = epsilon
-        self.alpha = alpha
-        self.resolved_alpha = resolved_alpha
-        self.n = n
-        self.m = m
-        self.d = d
-        self.total_pins = total_pins
-        self.matching_weight = matching_weight
-        self.cardinality = cardinality
-        self.pushes = pushes
-        self.pops = pops
-        self.swaps = swaps
-        self.vertex_push_max = vertex_push_max
-        self.peak_stack_edges = peak_stack_edges
-        self.peak_stack_pins = peak_stack_pins
-        self.logical_memory = logical_memory
-        self.runtime_ns = runtime_ns
-        self.dual_upper_bound = dual_upper_bound
-        self.dual_feasible = dual_feasible
-        self.oracle_weight = oracle_weight
-        self.matching_edges = matching_edges
-        self.error = error
+    __slots__ = ()
 
     @classmethod
     def for_spec(cls, spec: RunSpec, hg: Optional[Hypergraph] = None,
@@ -217,22 +176,27 @@ class ResultRecord:
         its own) and, given ``hg``, the instance's shape, holding ``values``."""
         if hg is not None:
             values.update(n=hg.n, m=hg.m, d=hg.d, total_pins=hg.total_pins)
-        return cls(spec.instance_label(), algorithm or spec.algorithm, spec.weights.value,
-                   spec.order.value, spec.seed, spec.repeat, spec.epsilon,
-                   None if spec.alpha is None else str(spec.alpha), **values)
+        return cls(*_labels(spec, spec.instance_label(), algorithm or spec.algorithm), **values)
 
     def as_dict(self) -> dict:
         """The record's JSON object.  JSON has no NaN or infinity, so a
         non-finite float is written as its CSV text."""
-        return {name: _json_value(getattr(self, name)) for name in CSV_COLUMNS}
+        return {name: _json_value(value) for name, value in zip(CSV_COLUMNS, self)}
 
     def as_row(self) -> list:
         """The values in column order for ``csv.writer``, which writes None as ""
         and the rest by ``str()``; only the bool ``dual_feasible`` is given as true/false."""
-        row = list(_column_values(self))
+        row = list(self)
         if self.dual_feasible is not None:
             row[_DUAL_FEASIBLE] = "true" if self.dual_feasible else "false"
         return row
+
+
+def _labels(spec: RunSpec, instance: str, algorithm: str) -> tuple:
+    """The record's first eight columns, the cell's labels: ``instance`` and
+    ``algorithm``, then the spec's weights, order, seed, repeat and knobs."""
+    return (instance, algorithm, spec.weights.value, spec.order.value, spec.seed,
+            spec.repeat, spec.epsilon, None if spec.alpha is None else str(spec.alpha))
 
 
 def _json_value(value):
@@ -328,12 +292,11 @@ def _run_cell(spec: RunSpec, instance: _LoadedInstance) -> ResultRecord:
     # positional, in CSV_COLUMNS order: a keyword or **dict call costs several times as much
     m = metrics
     return ResultRecord(
-        instance.label, algorithm, spec.weights.value, spec.order.value, spec.seed,
-        spec.repeat, spec.epsilon, None if spec.alpha is None else str(spec.alpha), resolved_alpha,
-        hg.n, hg.m, hg.d, hg.total_pins, m.matching_weight, m.cardinality, m.pushes, m.pops,
-        m.swaps, m.vertex_push_max, m.peak_stack_edges, m.peak_stack_pins,
+        *_labels(spec, instance.label, algorithm), resolved_alpha, hg.n, hg.m, hg.d,
+        hg.total_pins, m.matching_weight, m.cardinality, m.pushes, m.pops, m.swaps,
+        m.vertex_push_max, m.peak_stack_edges, m.peak_stack_pins,
         logical_memory(algorithm, hg, m), m.runtime_ns, bound, feasible, oracle_weight,
-        matching_edges, None)
+        matching_edges)
 
 
 def grid(specs: Iterable[RunSpec]) -> Iterator[ResultRecord]:

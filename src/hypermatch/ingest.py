@@ -409,11 +409,13 @@ def _by_weight(weights: tuple[float, ...], descending: bool) -> array | list[int
 
 def _integer(name: str, value: int) -> int:
     """``value`` read through ``operator.index``: any integer type, never a
-    float or text."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+    float, text or ``bool``, which as a count or a seed is a caller's error."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInput(f"{name} must be an integer, got {value!r}")
 
 
 def check_seed(seed: int) -> int:
@@ -446,9 +448,9 @@ def gen_random_hypergraph(n: int, m: int, d_max: int, w_max: int, seed: int) -> 
     ``sample(range(n), size)`` draw on CPython 3.10-3.13 and gives the same
     values.  ``n`` is an ``int`` and at most ``sys.maxsize``, the longest
     range ``sample`` draws from; the other counts may be of any integer
-    type.  The same arguments always produce the same instance.  Its edges
-    are valid by construction, so the instance skips the per-edge check of
-    :class:`Hypergraph`; the total-weight check stays.
+    type but ``bool``.  The same arguments always produce the same
+    instance.  Its edges are valid by construction, so the instance skips
+    the per-edge check of :class:`Hypergraph`; the total-weight check stays.
     """
     # a Hypergraph's vertex count is a plain int, never a bool or numpy int
     if type(n) is not int:

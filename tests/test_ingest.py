@@ -589,7 +589,7 @@ def test_trusted_instances_keep_the_overflow_check() -> None:
 
 @pytest.mark.parametrize("count,value", [
     ("w_max", 1.7e308), ("m", 2.5), ("n", 10.0), ("d_max", 2.0), ("m", "7"), ("m", None),
-    ("n", True), ("n", "10"),
+    ("n", True), ("n", "10"), ("m", True), ("d_max", True), ("w_max", True), ("seed", True),
 ])
 def test_gen_refuses_a_count_that_is_not_an_integer(count, value) -> None:
     counts = {"n": 10, "m": 3, "d_max": 2, "w_max": 10, "seed": 1} | {count: value}
@@ -625,8 +625,8 @@ def test_a_negative_seed_is_refused() -> None:
     with pytest.raises(InvalidInput, match="seed must be non-negative, got -7"):
         order_stream(hg, StreamOrder.RANDOM, -7)
     # read as the counts are read, through __index__: random.Random would
-    # seed 2.5 by its hash
-    for seed in (2.5, "1", None):
+    # seed 2.5 by its hash; a bool is refused, not drawn as seed 1
+    for seed in (2.5, "1", None, True):
         with pytest.raises(InvalidInput, match="seed must be an integer"):
             gen_random_hypergraph(50, 200, 3, 10, seed=seed)
         with pytest.raises(InvalidInput, match="seed must be an integer"):
